@@ -88,7 +88,9 @@ __all__ = [
 #: v2: model/train configs enter the fingerprint as content digests
 #: (see :meth:`~repro.models.config.ModelConfig.content_digest`) and
 #: stage artifacts spill under ``stage/``.
-CACHE_VERSION = 2
+#: v3: a cached run's :class:`~repro.sim.trace.Trace` pickles as
+#: columns and per-task aggregates, not a list of records.
+CACHE_VERSION = 3
 
 #: Trace-event statuses for the ``"cache"`` event name.
 CACHE_HIT = "hit"

@@ -1,8 +1,12 @@
-"""WSE-2 runtime: discrete-event execution of the kernel pipeline.
+"""WSE-2 runtime: the kernel pipeline, timed by its max-plus recurrence.
 
 Samples flow through the kernel chain in a data-driven fashion; the
 number of in-flight samples is bounded by the pipeline depth the memory
-planner granted. Steady-state throughput is therefore
+planner granted. That makes the pipeline a tandem queue with
+deterministic service times and bounded work in progress, whose every
+start and end time follows from a closed recurrence (see
+:meth:`WSERuntime._simulate_pipeline`) — no event loop needed.
+Steady-state throughput is therefore
 ``min(1/t_bottleneck, depth / sum(t_k))`` — which is what produces the
 paper's batch-size saturation on WSE (Fig. 12: strong gains below ~200,
 little beyond) and the TFLOPs collapse when configuration memory starves
@@ -16,7 +20,6 @@ import math
 from repro.common.errors import SimulationError
 from repro.core.backend import CompileReport, PhaseProfile, RunReport, TaskProfile
 from repro.hardware.specs import CS2_SYSTEM, SystemSpec
-from repro.sim.engine import Resource, Simulator
 from repro.sim.trace import Trace
 
 # Relative efficiency of weight-streaming execution (layer-sequential
@@ -88,46 +91,45 @@ class WSERuntime:
     def _simulate_pipeline(self, order: list[str],
                            service: dict[str, float], depth: int,
                            batch: int, trace: Trace) -> float:
-        """Tandem-queue DES with bounded work-in-progress."""
+        """Tandem queue with bounded work in progress; returns makespan.
+
+        Each kernel serves one sample at a time, in arrival order, and
+        sample ``k`` enters the first kernel only once sample
+        ``k - depth`` has left the last one. With ``s_j`` the service
+        time of kernel ``j`` this is the max-plus recurrence::
+
+            begin[k, j] = max(end[k, j-1], end[k-1, j])
+            end[k, j]   = begin[k, j] + s_j
+
+        where ``end[k, -1]``, the admission time, is ``end[k-depth,
+        last]`` (0 for the first ``depth`` samples). The times are the
+        ones an event-driven simulation of the same queue produces, bit
+        for bit: each is the same single float addition. Kernel ``j``'s
+        intervals go to ``trace`` as one :meth:`Trace.extend` block.
+        """
         if not order:
             raise SimulationError("empty kernel pipeline")
-        sim = Simulator()
-        stages = [Resource(sim, capacity=1, name=name) for name in order]
-        in_flight = {"count": 0, "next_sample": 0, "done": 0}
-
-        def admit() -> None:
-            while (in_flight["count"] < depth
-                   and in_flight["next_sample"] < batch):
-                sample = in_flight["next_sample"]
-                in_flight["next_sample"] += 1
-                in_flight["count"] += 1
-                enter_stage(sample, 0)
-
-        def enter_stage(sample: int, idx: int) -> None:
-            stages[idx].request(start_service, sample, idx)
-
-        def start_service(sample: int, idx: int) -> None:
-            start = sim.now
-            sim.schedule(service[order[idx]], finish_service,
-                         sample, idx, start)
-
-        def finish_service(sample: int, idx: int, start: float) -> None:
-            trace.record(start, sim.now, order[idx], category="compute",
-                         item=sample)
-            stages[idx].release()
-            if idx + 1 < len(stages):
-                enter_stage(sample, idx + 1)
-            else:
-                in_flight["count"] -= 1
-                in_flight["done"] += 1
-                admit()
-
-        sim.schedule(0.0, admit)
-        sim.run()
-        if in_flight["done"] != batch:
-            raise SimulationError(
-                f"pipeline completed {in_flight['done']} of {batch} samples")
-        return sim.now
+        times = [service[name] for name in order]
+        n = len(times)
+        last = n - 1
+        # Row-major: sample k's interval at kernel j sits at k * n + j.
+        starts: list[float] = []
+        ends: list[float] = []
+        add_start, add_end = starts.append, ends.append
+        free = [0.0] * n  # end[k-1, j]: when kernel j is next free
+        for k in range(batch):
+            ready = ends[(k - depth) * n + last] if k >= depth else 0.0
+            for j in range(n):
+                begin = free[j]
+                if ready > begin:
+                    begin = ready
+                ready = begin + times[j]
+                free[j] = ready
+                add_start(begin)
+                add_end(ready)
+        for j, name in enumerate(order):
+            trace.extend(name, starts[j::n], ends[j::n])
+        return ends[-1] if ends else 0.0
 
     # ------------------------------------------------------------------
     def _replica_sync_time(self, compiled: CompileReport,

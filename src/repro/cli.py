@@ -84,6 +84,7 @@ from repro.resilience import (
     DISPATCH_THREAD,
     PREDICTORS,
     SCHEDULE_POLICIES,
+    Clock,
     ExecutionPolicy,
     FaultInjectingBackend,
     FaultPlan,
@@ -259,6 +260,7 @@ def _policy_from_args(args: argparse.Namespace) -> ExecutionPolicy:
         trace=args.trace,
         ledger=args.ledger,
         cache=args.cache,
+        clock=args.clock,
     )
 
 
@@ -687,8 +689,16 @@ COMMANDS = {
 }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: Sequence[str] | None = None, *,
+         clock: Clock | None = None) -> int:
+    """Run one CLI command; returns its exit code.
+
+    ``clock`` is the time source of every policy the command builds
+    (``None`` = wall clock): a :class:`~repro.resilience.FakeClock`
+    makes retry backoff and deadlines cost no real time.
+    """
     args = build_parser().parse_args(argv)
+    args.clock = clock
     try:
         return COMMANDS[args.command](args)
     except ConfigurationError as exc:

@@ -4,13 +4,13 @@ Deterministic by construction: events at equal timestamps fire in
 scheduling order (a monotone sequence number breaks ties), so repeated
 runs of the same workload produce identical traces.
 
-The event loop is the run phase's hot path — a campaign cell can push
-hundreds of thousands of events through it — so :meth:`Simulator.run`
-dispatches from locals (the heap, ``heappop``, the sequence counter)
-instead of going through :meth:`Simulator.step` and per-event
-attribute lookups, and :class:`Resource` wakeups re-use the stored
-argument tuple rather than re-packing it through ``schedule``'s
-``*args``.
+The event loop is the hot path of the IPU and RDU runtimes (the WSE
+pipeline is computed in closed form, see :mod:`repro.cerebras.runtime`),
+so :meth:`Simulator.run` dispatches from locals (the heap,
+``heappop``, the sequence counter) instead of going through
+:meth:`Simulator.step` and per-event attribute lookups, and
+:class:`Resource` wakeups re-use the stored argument tuple rather than
+re-packing it through ``schedule``'s ``*args``.
 """
 
 from __future__ import annotations

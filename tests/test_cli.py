@@ -13,6 +13,7 @@ from repro.cli import (
 )
 from repro.common.errors import ConfigurationError
 from repro.models.precision import Precision
+from repro.resilience.clock import FakeClock
 
 
 class TestParsers:
@@ -133,12 +134,15 @@ class TestResilienceFlags:
         assert out.count("yes") >= 2  # both cells replayed from journal
 
     def test_grid_fault_injection_with_retries(self, capsys):
+        clock = FakeClock()
         code = main(["grid", "--platform", "cerebras",
                      "--model", "probe:256x2", "--seq-len", "256",
                      "--layers", "2", "4", "6", "--batches", "8",
                      "--inject-faults", "0.4", "--fault-seed", "7",
-                     "--max-retries", "3"])
+                     "--max-retries", "3"], clock=clock)
         assert code == 0
+        # Retry backoff ran on the fake clock, not the wall clock.
+        assert clock.sleeps
 
     def test_bad_fault_rate_rejected(self, capsys):
         code = main(["grid", "--platform", "cerebras",
