@@ -12,6 +12,7 @@ fewer than four. The results-equality half runs everywhere.
 """
 
 import os
+import statistics
 import time
 
 import pytest
@@ -27,6 +28,8 @@ MIN_SPEEDUP = 1.5
 #: magnitude on commodity cores (~0.5 s per cell).
 SPINS_PER_LAYER = 150_000
 LAYERS = (8, 8, 8, 8, 8, 8, 8, 8)
+#: Alternating default/hot runs per setting in the supervision gate.
+SUPERVISION_REPEATS = 5
 
 
 def grid():
@@ -62,16 +65,26 @@ def test_supervision_overhead_is_bounded():
     # rate 100x above the default (0.05 s vs 5 s) must not move
     # wall-clock by more than 50% on the same CPU-bound grid — the
     # machinery has to stay noise next to the work.
+    # The two settings alternate SUPERVISION_REPEATS times and the
+    # gate compares medians, so one run slowed by the host cannot
+    # flip it.
     timed_run("process", spins=10)  # warm the fork machinery
-    default_s, default_cells = timed_run("process", spins=30_000)
-    hot_s, hot_cells = timed_run("process", spins=30_000,
-                                 heartbeat_interval=0.05)
-    print(f"\n  heartbeat 5.00 s: {default_s:6.2f} s")
+    default_runs, hot_runs = [], []
+    for _ in range(SUPERVISION_REPEATS):
+        seconds, default_cells = timed_run("process", spins=30_000)
+        default_runs.append(seconds)
+        seconds, hot_cells = timed_run("process", spins=30_000,
+                                       heartbeat_interval=0.05)
+        hot_runs.append(seconds)
+        for a, b in zip(default_cells, hot_cells):
+            assert a.run.meta["checksum"] == b.run.meta["checksum"]
+    default_s = statistics.median(default_runs)
+    hot_s = statistics.median(hot_runs)
+    print(f"\n  heartbeat 5.00 s: {default_s:6.2f} s (median of "
+          f"{SUPERVISION_REPEATS})")
     print(f"  heartbeat 0.05 s: {hot_s:6.2f} s"
           f"  ({hot_s / default_s:.2f}x)")
     assert hot_s <= default_s * 1.5
-    for a, b in zip(default_cells, hot_cells):
-        assert a.run.meta["checksum"] == b.run.meta["checksum"]
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < WORKERS,

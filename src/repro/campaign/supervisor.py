@@ -15,7 +15,8 @@ the process-pool drain with four mechanisms:
 * **Hard deadline enforcement** — a worker whose in-flight cell has
   been running longer than ``deadline * grace_factor`` wall-clock
   seconds, or whose heartbeat is older than
-  ``heartbeat_interval * grace_factor``, is SIGKILL'd. The worker's
+  ``heartbeat_interval * grace_factor`` (never less than
+  :data:`MIN_STALE_SECONDS`), is SIGKILL'd. The worker's
   own watchdog normally cuts a hang at ``deadline`` — the supervisor
   is the backstop for workers too wedged to self-report (a stopped
   process freezes its watchdog and heartbeat threads too).
@@ -73,6 +74,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "HEARTBEAT_PREFIX",
+    "MIN_STALE_SECONDS",
     "Heartbeat",
     "write_heartbeat",
     "read_heartbeats",
@@ -83,6 +85,11 @@ __all__ = [
 #: Heartbeat files live next to the journal shards; the prefix keeps
 #: them out of the shard filter (shards start with the journal prefix).
 HEARTBEAT_PREFIX = "hb-"
+#: Floor on the staleness budget. A healthy worker's beat is already
+#: one interval plus a patrol tick old when read, and on a busy host
+#: the OS can deschedule the stamper for a further 0.1 s or more; a
+#: budget below this would SIGKILL such workers and rebuild the pool.
+MIN_STALE_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -402,7 +409,8 @@ class Supervisor:
         """One monitoring pass: kill workers past their budgets."""
         running = {cell.key for _, cell, _ in inflight.values()}
         now = time.monotonic()
-        stale_after = self.heartbeat_interval * self.grace_factor
+        stale_after = max(self.heartbeat_interval * self.grace_factor,
+                          MIN_STALE_SECONDS)
         hard_deadline = (self.deadline * self.grace_factor
                          if self.deadline is not None else None)
         for beat in read_heartbeats(hb_dir, token):

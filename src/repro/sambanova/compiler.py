@@ -206,8 +206,9 @@ class RDUCompiler:
         return max(op.weight_bytes / 2.0, 1.0) / tp
 
     def _demand_of(self, op: Operator, train: TrainConfig,
-                   tp: int) -> OpDemand:
-        """One operator's PCU/PMU/traffic demand."""
+                   tp: int, packing: float = 1.0) -> OpDemand:
+        """One operator's PCU/PMU/traffic demand; O3 shrinks the PCU
+        and PMU grants by ``packing``."""
         shard = 1.0 / tp if op.kind in TP_SHARDED_KINDS else 1.0
         if op.kind in MATMUL_KINDS:
             elements = self._matmul_elements(op, tp)
@@ -233,8 +234,8 @@ class RDUCompiler:
             name=op.name,
             kind=op.kind.value,
             flops=op.flops * shard,
-            pcus=pcus,
-            pmus=pmus,
+            pcus=pcus * packing,
+            pmus=pmus * packing,
             weight_bytes=weight_bytes,
             io_bytes=io_bytes,
             backward=op.backward,
@@ -367,17 +368,13 @@ class RDUCompiler:
             counter["n"] += 1
             pending.clear()
 
-        import dataclasses
         for op in order:
             if self._needs_sharding(op, train, tp):
                 flush()
                 sections.extend(self._shard_sections(op, train, tp, 1))
                 continue
-            demand = self._demand_of(op, train, tp)
-            demand = dataclasses.replace(
-                demand,
-                pcus=demand.pcus * O3_PACKING_FACTOR,
-                pmus=demand.pmus * O3_PACKING_FACTOR)
+            demand = self._demand_of(op, train, tp,
+                                     packing=O3_PACKING_FACTOR)
             kind = self._section_kind(op)
             pcu_total = sum(d.pcus for d in pending) + demand.pcus
             pmu_total = sum(d.pmus for d in pending) + demand.pmus

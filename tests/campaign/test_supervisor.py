@@ -14,6 +14,7 @@ import pytest
 
 from repro.campaign.supervisor import (
     HEARTBEAT_PREFIX,
+    MIN_STALE_SECONDS,
     SupervisionStats,
     Supervisor,
     read_heartbeats,
@@ -102,6 +103,46 @@ class TestSupervisionStats:
         assert stats.grace_factor == 3.0
         assert stats.quarantine_after == 4
         assert stats.max_pool_rebuilds == 9
+
+
+class TestStaleBudget:
+    """The staleness kill waits at least ``MIN_STALE_SECONDS``."""
+
+    def patrol(self, tmp_path, monkeypatch, age, **supervisor_kwargs):
+        killed = []
+        monkeypatch.setattr(Supervisor, "_kill",
+                            staticmethod(killed.append))
+        write_heartbeat(tmp_path, pid=4242, token="t",
+                        beat=time.monotonic() - age, cell="L2",
+                        cell_started=None, seq=1)
+        supervisor = Supervisor(**supervisor_kwargs)
+        supervisor._patrol(tmp_path, "t", {}, {})
+        return killed, supervisor.stats()
+
+    def test_short_interval_tolerates_a_descheduled_worker(
+            self, tmp_path, monkeypatch):
+        # 0.05 s x 2 would call a 0.5 s-old beat stale; the floor
+        # keeps a healthy worker the OS parked that long alive.
+        killed, stats = self.patrol(tmp_path, monkeypatch, age=0.5,
+                                    heartbeat_interval=0.05)
+        assert killed == []
+        assert stats.stale_kills == 0
+
+    def test_beat_past_the_floor_is_killed(self, tmp_path, monkeypatch):
+        killed, stats = self.patrol(tmp_path, monkeypatch,
+                                    age=MIN_STALE_SECONDS + 0.5,
+                                    heartbeat_interval=0.05)
+        assert killed == [4242]
+        assert stats.stale_kills == 1
+
+    def test_long_budgets_are_unchanged(self, tmp_path, monkeypatch):
+        # 2 s x 2 = 4 s is above the floor: a 3 s-old beat lives.
+        killed, _ = self.patrol(tmp_path, monkeypatch, age=3.0,
+                                heartbeat_interval=2.0)
+        assert killed == []
+        killed, _ = self.patrol(tmp_path, monkeypatch, age=4.5,
+                                heartbeat_interval=2.0)
+        assert killed == [4242]
 
 
 class TestPolicyValidation:

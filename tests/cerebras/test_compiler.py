@@ -1,8 +1,13 @@
 """WSE-2 compiler: allocation regimes, memory planning, failures."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cerebras import placement as placement_module
 from repro.cerebras.compiler import WSECompiler
+from repro.cerebras.kernels import Kernel, extract_kernels
+from repro.cerebras.placement import Placement, WaferPlacer
 from repro.common.errors import ConfigurationError, OutOfMemoryError
 from repro.core.metrics import allocation_ratio, weighted_load_imbalance
 from repro.models.config import TrainConfig, gpt2_model
@@ -21,6 +26,129 @@ def train():
 @pytest.fixture(scope="module")
 def small():
     return gpt2_model("small")
+
+
+def oracle_allocate(kernels, budget, respect_caps=True):
+    """The water-fill as first written: dict lookups per kernel per
+    step and all 80 bisection steps."""
+    floors = {k.name: min(k.min_pes, k.cap_pes) for k in kernels}
+    caps = {k.name: k.cap_pes if respect_caps else budget
+            for k in kernels}
+    if sum(floors.values()) > budget:
+        raise OutOfMemoryError(
+            "kernel weight floors exceed the wafer region: "
+            f"{sum(floors.values()):.0f} PEs needed, {budget:.0f} available",
+            required_bytes=sum(floors.values()),
+            available_bytes=budget,
+        )
+    if sum(caps.values()) <= budget:
+        return dict(caps)
+    lo, hi = 0.0, budget / max(min(k.flops_per_sample for k in kernels), 1.0)
+
+    def total(lam):
+        return sum(
+            min(caps[k.name], max(floors[k.name],
+                                  lam * k.flops_per_sample))
+            for k in kernels
+        )
+
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if total(mid) < budget:
+            lo = mid
+        else:
+            hi = mid
+    lam = (lo + hi) / 2.0
+    return {
+        k.name: min(caps[k.name],
+                    max(floors[k.name], lam * k.flops_per_sample))
+        for k in kernels
+    }
+
+
+kernel_lists = st.lists(
+    st.tuples(st.sampled_from(["embedding", "attention", "ffn", "head"]),
+              st.one_of(st.just(0.0),
+                        st.floats(min_value=0.0, max_value=1e13)),
+              st.floats(min_value=0.0, max_value=5e8)),
+    min_size=1, max_size=40,
+).map(lambda rows: [Kernel(name=f"k{i}", kind=kind, layer_index=i,
+                           flops_per_sample=flops, weight_bytes=weights,
+                           boundary_bytes=0.0)
+                    for i, (kind, flops, weights) in enumerate(rows)])
+
+
+def assert_allocates_like_oracle(kernels, budget, respect_caps):
+    """Same grants bit for bit, or the same OutOfMemoryError."""
+    try:
+        expected = oracle_allocate(kernels, budget, respect_caps)
+    except OutOfMemoryError as exc:
+        with pytest.raises(OutOfMemoryError) as fast:
+            WSECompiler()._allocate(kernels, budget, respect_caps)
+        assert str(fast.value) == str(exc)
+        assert fast.value.required_bytes == exc.required_bytes
+        assert fast.value.available_bytes == exc.available_bytes
+        return
+    grants = WSECompiler()._allocate(kernels, budget, respect_caps)
+    assert list(grants) == list(expected)
+    assert ([v.hex() for v in grants.values()]
+            == [v.hex() for v in expected.values()])
+
+
+class TestAllocateOracle:
+    """The column-wise water-fill with its early stop must return the
+    dict-lookup version's grants bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_lists, st.floats(min_value=0.0, max_value=1.5),
+           st.booleans())
+    def test_matches_dict_water_fill(self, kernels, fraction,
+                                     respect_caps):
+        # Budgets from below the floors (OutOfMemoryError) through the
+        # elastic regime to above the caps (every kernel at its cap).
+        budget = max(1.0, fraction * sum(k.cap_pes for k in kernels))
+        assert_allocates_like_oracle(kernels, budget, respect_caps)
+
+    @pytest.mark.parametrize("respect_caps", [True, False])
+    @pytest.mark.parametrize("budget", [100.0, 400_000.0, 800_000.0, 1e9])
+    def test_paper_kernels_match(self, small, budget, respect_caps):
+        for layers, batch in ((1, 64), (18, 64), (36, 256), (72, 256)):
+            kernels = extract_kernels(
+                small.with_layers(layers),
+                TrainConfig(batch_size=batch, seq_len=1024))
+            assert_allocates_like_oracle(kernels, budget, respect_caps)
+
+
+class TestSinglePlacement:
+    def test_shrinking_compile_builds_one_placement(self, compiler, small,
+                                                    monkeypatch):
+        # Deterministic guard for the exact search: at 36 layers and
+        # batch 256 the grants must shrink to pack, and still the only
+        # Placement a compile builds is the final one.
+        built = []
+
+        class Counted(Placement):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        efficiencies = []
+        search = WaferPlacer.packing_efficiency
+
+        def recorded(placer, demands):
+            efficiencies.append(search(placer, demands))
+            return efficiencies[-1]
+
+        monkeypatch.setattr(placement_module, "Placement", Counted)
+        monkeypatch.setattr(WaferPlacer, "packing_efficiency", recorded)
+        report = compiler.compile(small.with_layers(36),
+                                  TrainConfig(batch_size=256,
+                                              seq_len=1024))
+        assert len(efficiencies) == 1 and efficiencies[0] < 1.0
+        assert len(built) == 1
+        assert report.meta["placement"] is built[0]
+        assert len(built[0].rects) == len(report.meta["kernel_order"])
+        assert built[0].fits
 
 
 class TestAllocationRegimes:

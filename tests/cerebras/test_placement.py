@@ -5,7 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
+from repro.cerebras import placement as placement_module
 from repro.cerebras.placement import Placement, PlacedRect, WaferPlacer
+
+
+def oracle_packing_efficiency(placer, demands):
+    """The search as first written: a full placement per probe."""
+    if placer.place(demands).fits:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(24):
+        mid = (lo + hi) / 2.0
+        scaled = [(name, pes * mid) for name, pes in demands]
+        if placer.place(scaled).fits:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class TestRectShape:
@@ -93,6 +109,59 @@ class TestPackingEfficiency:
         shelves = WaferPlacer(100, 100, strategy="shelves")
         assert (strips.packing_efficiency(demands)
                 >= shelves.packing_efficiency(demands))
+
+
+class TestPackingEfficiencyOracle:
+    """The strips search tests the fit predicate instead of placing; it
+    must return the placing search's factor bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0),
+                              st.floats(min_value=0.0, max_value=5000.0)),
+                    min_size=1, max_size=30),
+           st.integers(min_value=1, max_value=200),
+           st.integers(min_value=1, max_value=120),
+           st.sampled_from(["strips", "shelves"]))
+    def test_matches_placing_search(self, demands, width, height,
+                                    strategy):
+        # Covers demands that fit (factor 1.0), demands that need
+        # shrinking, all-zero demands and kernels that can never fit.
+        placer = WaferPlacer(width, height, strategy=strategy)
+        named = [(f"k{i}", p) for i, p in enumerate(demands)]
+        assert (placer.packing_efficiency(named).hex()
+                == oracle_packing_efficiency(placer, named).hex())
+
+    @pytest.mark.parametrize("strategy", ["strips", "shelves"])
+    def test_negative_demand_raises_like_the_oracle(self, strategy):
+        placer = WaferPlacer(10, 10, strategy=strategy)
+        demands = [("a", 50.0), ("b", -1.0), ("c", -2.0)]
+        with pytest.raises(ConfigurationError) as fast:
+            placer.packing_efficiency(demands)
+        with pytest.raises(ConfigurationError) as oracle:
+            oracle_packing_efficiency(placer, demands)
+        assert str(fast.value) == str(oracle.value)
+
+    def test_fit_predicate_is_the_placement_fits(self):
+        placer = WaferPlacer(10, 10)
+        # Widths 5 + 5 fill the grid exactly; one more PE overflows.
+        assert placer.packing_efficiency([("a", 50.0), ("b", 50.0)]) == 1.0
+        assert placer.packing_efficiency([("a", 50.0), ("b", 51.0)]) < 1.0
+
+    def test_strips_search_builds_no_placement(self, monkeypatch):
+        built = []
+
+        class Counted(Placement):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(placement_module, "Placement", Counted)
+        placer = WaferPlacer(100, 100)
+        assert placer.packing_efficiency([("a", 8000.0),
+                                          ("b", 8000.0)]) < 1.0
+        assert built == []
+        placer.place([("a", 100.0)])
+        assert len(built) == 1  # the counter does see placements
 
 
 class TestDistances:

@@ -1,7 +1,7 @@
 """ComputationGraph structure, validation, and queries."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
@@ -44,6 +44,52 @@ class TestConstruction:
     def test_cycle_rejected(self, chain3):
         with pytest.raises(ConfigurationError):
             chain3.add_edge("c", "a")
+
+    def test_cycle_through_a_node_with_successors_rejected(self):
+        # x -> y -> z; adding z -> x is caught because x has successors.
+        g = ComputationGraph()
+        for name in ("x", "y", "z", "w"):
+            g.add_op(op(name))
+        g.chain(["x", "y", "z"])
+        g.add_edge("x", "w")
+        with pytest.raises(ConfigurationError,
+                           match="'z' -> 'x' would create a cycle"):
+            g.add_edge("z", "x")
+        g.add_edge("w", "z")  # no path z -> w: accepted
+
+    @settings(max_examples=150)
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                    max_size=40))
+    def test_edges_accepted_exactly_when_acyclic(self, pairs):
+        # Oracle: an edge is rejected iff its destination already
+        # reaches its source (checked over all edges accepted so far).
+        g = ComputationGraph()
+        for i in range(8):
+            g.add_op(op(f"n{i}"))
+        accepted = set()
+
+        def reaches(start, target):
+            frontier, seen = [start], {start}
+            while frontier:
+                node = frontier.pop()
+                if node == target:
+                    return True
+                for src, dst in accepted:
+                    if src == node and dst not in seen:
+                        seen.add(dst)
+                        frontier.append(dst)
+            return False
+
+        for src, dst in pairs:
+            if src == dst:
+                continue
+            if reaches(dst, src):
+                with pytest.raises(ConfigurationError, match="cycle"):
+                    g.add_edge(f"n{src}", f"n{dst}")
+            else:
+                g.add_edge(f"n{src}", f"n{dst}")
+                accepted.add((src, dst))
+        g.validate()
 
     def test_edge_bytes_default_to_producer_output(self, chain3):
         edge = [e for e in chain3.edges if e.src == "a"][0]

@@ -1,10 +1,13 @@
 """Operator dataclass behaviour."""
 
+from dataclasses import fields, replace
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
+from repro.graph import ops
 from repro.graph.ops import OpKind, Operator
 
 
@@ -25,6 +28,74 @@ class TestValidation:
     def test_negative_quantities_rejected(self, field):
         with pytest.raises(ConfigurationError):
             make_op(**{field: -1.0})
+
+
+QUANTITIES = ("flops", "weight_bytes", "input_bytes", "output_bytes")
+
+
+def oracle_validation_message(name, values):
+    """The message the per-field check raises first, or ``None``."""
+    for label, value in zip(QUANTITIES, values):
+        if value < 0:
+            return f"operator {name!r}: {label} must be >= 0, got {value}"
+    return None
+
+
+def oracle_as_backward(op, flops_multiplier=2.0):
+    """The backward twin as first written, through ``replace``."""
+    return replace(op, name=f"{op.name}.bwd",
+                   flops=op.flops * flops_multiplier,
+                   input_bytes=op.output_bytes,
+                   output_bytes=op.input_bytes, backward=True)
+
+
+quantity = st.one_of(st.just(0.0), st.just(-0.0),
+                     st.floats(min_value=-1e12, max_value=1e12))
+
+
+class TestValidationOracle:
+    @settings(max_examples=200)
+    @given(st.tuples(quantity, quantity, quantity, quantity))
+    def test_first_bad_field_is_named(self, values):
+        expected = oracle_validation_message("op", values)
+        kwargs = dict(zip(QUANTITIES, values))
+        if expected is None:
+            make_op(**kwargs)
+            return
+        with pytest.raises(ConfigurationError) as exc:
+            make_op(**kwargs)
+        assert str(exc.value) == expected
+
+
+class TestAsBackwardOracle:
+    @settings(max_examples=200)
+    @given(st.tuples(*(st.floats(min_value=0.0, max_value=1e15)
+                       for _ in QUANTITIES)),
+           st.integers(min_value=-1, max_value=96), st.booleans(),
+           st.floats(min_value=0.0, max_value=8.0))
+    def test_matches_replace(self, values, layer, backward, multiplier):
+        op = make_op(**dict(zip(QUANTITIES, values)), layer_index=layer,
+                     backward=backward, attrs={"k": 3})
+        fast, slow = op.as_backward(multiplier), oracle_as_backward(
+            op, multiplier)
+        for f in fields(op):
+            a, b = getattr(fast, f.name), getattr(slow, f.name)
+            if isinstance(a, float):
+                assert a.hex() == b.hex(), f.name
+            else:
+                assert a == b, f.name
+        assert fast.attrs is op.attrs  # shared, as replace shares it
+
+    def test_constructor_gets_every_field(self, monkeypatch):
+        # as_backward spells out each field; one added to Operator
+        # later must be passed on too, or twins would reset it to its
+        # default where replace copied it.
+        op = make_op()
+        passed = {}
+        monkeypatch.setattr(ops, "Operator",
+                            lambda **kwargs: passed.update(kwargs))
+        op.as_backward()
+        assert set(passed) == {f.name for f in fields(Operator)}
 
 
 class TestDerivedQuantities:

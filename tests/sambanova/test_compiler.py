@@ -1,12 +1,16 @@
 """RDU compiler: modes, allocation, partitioning accounting."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ConfigurationError, OutOfMemoryError
 from repro.core.metrics import allocation_ratio, weighted_load_imbalance
 from repro.models.config import TrainConfig, gpt2_model, llama2_model
 from repro.models.precision import Precision, PrecisionPolicy
+from repro.models.graph_builder import build_training_graph
 from repro.sambanova.compiler import (
+    O3_PACKING_FACTOR,
     RDUCompiler,
     SECTION_PCU_BUDGET,
     SECTION_PMU_BUDGET,
@@ -66,6 +70,25 @@ class TestModeStructure:
     def test_unknown_mode_rejected(self, compiler, small, train):
         with pytest.raises(ConfigurationError):
             compiler.compile(small, train, mode="O2")
+
+
+class TestO3PackedDemands:
+    def test_packed_demand_matches_replace(self, compiler, small, train):
+        # O3 builds its shrunken demands in one go; they must equal the
+        # full demand rebuilt through dataclasses.replace, bit for bit.
+        graph = build_training_graph(small.with_layers(2), train)
+        for tp in (1, 4):
+            for op in graph.topological_order():
+                full = compiler._demand_of(op, train, tp)
+                packed = compiler._demand_of(op, train, tp,
+                                             packing=O3_PACKING_FACTOR)
+                oracle = dataclasses.replace(
+                    full, pcus=full.pcus * O3_PACKING_FACTOR,
+                    pmus=full.pmus * O3_PACKING_FACTOR)
+                assert packed == oracle
+                assert (packed.pcus.hex(), packed.pmus.hex()) == (
+                    oracle.pcus.hex(), oracle.pmus.hex())
+                assert packed.meta == oracle.meta
 
 
 class TestAllocation:
