@@ -21,13 +21,6 @@ digests — serialized once per config object, not once per cell).
 Anything that could change the cell's result changes the key; a stale
 entry can only ever *miss*, never lie.
 
-Below the whole-cell entries, :class:`StageMemo` memoizes *stage*
-artifacts of the staged compile pipelines
-(:mod:`repro.core.stages`): an in-process, thread-safe map shared
-across campaign lanes, spilling to ``<directory>/stage/`` at stage
-granularity so process-dispatch workers share upstream compile work
-too. See ``docs/performance.md`` for the cost model.
-
 Concurrency follows the :class:`~repro.resilience.ShardedJournal`
 discipline: an entry is written to a private temp file and published
 with an atomic exclusive link (the filesystem arbitrates concurrent
@@ -65,7 +58,6 @@ from repro.resilience.journal import STATUS_OK
 
 if TYPE_CHECKING:
     from repro.core.backend import AcceleratorBackend
-    from repro.core.stages import CompileStage
     from repro.models.config import ModelConfig, TrainConfig
     from repro.observe import TraceRecorder
 
@@ -76,7 +68,6 @@ __all__ = [
     "CACHE_BYPASS",
     "CachedCell",
     "CompileCache",
-    "StageMemo",
     "canonical_fingerprint",
     "cell_fingerprint",
     "cached_outcome",
@@ -86,8 +77,7 @@ __all__ = [
 #: Cache schema version; part of every fingerprint, so a schema change
 #: invalidates the whole cache rather than misreading old entries.
 #: v2: model/train configs enter the fingerprint as content digests
-#: (see :meth:`~repro.models.config.ModelConfig.content_digest`) and
-#: stage artifacts spill under ``stage/``.
+#: (see :meth:`~repro.models.config.ModelConfig.content_digest`).
 #: v3: a cached run's :class:`~repro.sim.trace.Trace` pickles as
 #: columns and per-task aggregates, not a list of records.
 CACHE_VERSION = 3
@@ -277,15 +267,6 @@ class CompileCache:
         path = self.entry_path(fingerprint)
         payload = {"v": CACHE_VERSION, "fingerprint": fingerprint,
                    "compiled": compiled, "run": run}
-        if self._publish(path, fingerprint, payload):
-            self._count("stores")
-            return True
-        return False
-
-    @staticmethod
-    def _publish(path: Path, fingerprint: str,
-                 payload: dict[str, Any]) -> bool:
-        """Pickle + fsync + exclusive-link one payload into ``path``."""
         try:
             blob = pickle.dumps(payload)
         except Exception as exc:  # noqa: BLE001 — unpicklable artifact
@@ -303,7 +284,6 @@ class CompileCache:
                 os.link(tmp, path)
             except FileExistsError:
                 return False  # a concurrent writer won the race
-            return True
         except OSError as exc:
             _warn(path, f"could not publish entry ({exc})")
             return False
@@ -312,72 +292,8 @@ class CompileCache:
                 os.unlink(tmp)
             except OSError:
                 pass
-
-    # -- stage-artifact spill (the StageMemo's shared tier) ------------
-    STAGE_DIR = "stage"
-
-    def stage_path(self, stage_name: str, fingerprint: str) -> Path:
-        """Where a stage artifact spills: ``stage/<name>/<fp[:2]>/…``.
-
-        Three levels below the cache root, so the cell-entry ``*/*``
-        glob (:meth:`entries`, :meth:`prune`, ``len()``) never sees
-        stage artifacts — eviction policy for the two tiers stays
-        independent.
-        """
-        return (self.directory / self.STAGE_DIR / stage_name
-                / fingerprint[:2] / f"{fingerprint}{self.SUFFIX}")
-
-    def stage_entries(self) -> dict[str, list[Path]]:
-        """Spilled stage artifacts, grouped by stage name."""
-        root = self.directory / self.STAGE_DIR
-        if not root.exists():
-            return {}
-        grouped: dict[str, list[Path]] = {}
-        for path in sorted(root.glob(f"*/*/*{self.SUFFIX}")):
-            grouped.setdefault(path.parent.parent.name, []).append(path)
-        return grouped
-
-    def stage_lookup(self, stage_name: str,
-                     fingerprint: str) -> tuple[bool, Any]:
-        """Read one spilled stage artifact: ``(found, artifact)``.
-
-        Same corruption contract as :meth:`lookup`: a torn, corrupt,
-        or foreign file warns, is dropped, and reads as a miss.
-        """
-        path = self.stage_path(stage_name, fingerprint)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return False, None
-        except OSError as exc:
-            _warn(path, f"unreadable ({exc})")
-            return False, None
-        try:
-            payload = pickle.loads(blob)
-        except Exception as exc:  # noqa: BLE001 — any corrupt pickle
-            _warn(path, f"corrupt stage artifact "
-                        f"({type(exc).__name__}: {exc})")
-            self._drop(path)
-            return False, None
-        if (not isinstance(payload, dict)
-                or payload.get("v") != CACHE_VERSION
-                or payload.get("fingerprint") != fingerprint
-                or payload.get("stage") != stage_name
-                or "artifact" not in payload):
-            _warn(path, "stage artifact does not match its "
-                        "fingerprint/schema")
-            self._drop(path)
-            return False, None
-        return True, payload["artifact"]
-
-    def stage_store(self, stage_name: str, fingerprint: str,
-                    artifact: Any) -> bool:
-        """Publish one stage artifact atomically (same race discipline
-        as :meth:`store`); ``False`` if it did not land."""
-        payload = {"v": CACHE_VERSION, "fingerprint": fingerprint,
-                   "stage": stage_name, "artifact": artifact}
-        return self._publish(self.stage_path(stage_name, fingerprint),
-                             fingerprint, payload)
+        self._count("stores")
+        return True
 
     # -- eviction (parent-side) ----------------------------------------
     def prune(self, max_entries: int | None = None) -> int:
@@ -409,110 +325,6 @@ class CompileCache:
             except OSError:
                 pass
         return removed
-
-
-class StageMemo:
-    """Memoizes compile-stage artifacts across cells, lanes, and runs.
-
-    Two tiers. The in-process map is the hot one: thread-safe, shared
-    across campaign lanes, it hands the *same* artifact object to every
-    cell whose stage fingerprint matches (stage artifacts are immutable
-    by contract — see :mod:`repro.core.stages`). The optional ``spill``
-    tier writes artifacts through to a :class:`CompileCache` directory
-    at stage granularity, so process-dispatch workers (each with its
-    own memo) and later runs share upstream compile work too.
-
-    Per-fingerprint locks serialize computation: of N threads racing
-    the same cold stage, one computes while the rest block and then
-    replay — the "thundering herd" on a shared upstream stage does the
-    work once. Different fingerprints never contend.
-
-    Counters are per stage name (:meth:`stats`), and every consult
-    emits one ``stage_cache`` trace event (``phase`` = stage name,
-    status ``hit`` / ``miss``), which is how the Observability table
-    counts stage traffic across threads *and* processes. The events
-    are advisory and excluded from the canonical merged trace — a
-    memoized run's merged trace stays byte-identical to a cold one.
-    """
-
-    def __init__(self, spill: CompileCache | None = None) -> None:
-        self.spill = spill
-        self._lock = threading.Lock()
-        self._memory: dict[str, Any] = {}
-        self._stage_locks: dict[str, threading.Lock] = {}
-        self._hits: dict[str, int] = {}
-        self._misses: dict[str, int] = {}
-
-    def stats(self) -> dict[str, dict[str, int]]:
-        """Per-stage-name consult counters: ``{"hits": {...}, ...}``."""
-        with self._lock:
-            return {"hits": dict(self._hits),
-                    "misses": dict(self._misses)}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
-
-    def _note(self, stage: "CompileStage", hit: bool, key: str,
-              tracer: "TraceRecorder | None") -> None:
-        with self._lock:
-            counts = self._hits if hit else self._misses
-            counts[stage.name] = counts.get(stage.name, 0) + 1
-        if tracer is not None:
-            tracer.emit("stage_cache", key=key, phase=stage.name,
-                        status=CACHE_HIT if hit else CACHE_MISS)
-
-    def note_hit(self, stage: "CompileStage", *, key: str = "",
-                 tracer: "TraceRecorder | None" = None) -> None:
-        """Count a stage satisfied without a lookup (a downstream hit
-        proved the whole upstream prefix matched)."""
-        self._note(stage, True, key, tracer)
-
-    def peek(self, stage: "CompileStage") -> tuple[bool, Any]:
-        """Quiet probe — no counters, no events: ``(found, artifact)``.
-
-        :func:`~repro.core.stages.run_stages` uses this to find the
-        deepest memoized stage before deciding what to recompute.
-        """
-        fingerprint = stage.fingerprint
-        if fingerprint is None:
-            return False, None
-        with self._lock:
-            if fingerprint in self._memory:
-                return True, self._memory[fingerprint]
-        if self.spill is not None:
-            found, artifact = self.spill.stage_lookup(stage.name,
-                                                      fingerprint)
-            if found:
-                with self._lock:
-                    self._memory.setdefault(fingerprint, artifact)
-                return True, artifact
-        return False, None
-
-    def resolve(self, stage: "CompileStage", upstream: Any, *,
-                key: str = "",
-                tracer: "TraceRecorder | None" = None) -> Any:
-        """The stage's artifact: replayed on a hit, computed (and
-        published to both tiers) on a miss."""
-        fingerprint = stage.fingerprint
-        if fingerprint is None:
-            return stage.compute(upstream)
-        with self._lock:
-            lock = self._stage_locks.get(fingerprint)
-            if lock is None:
-                lock = self._stage_locks[fingerprint] = threading.Lock()
-        with lock:
-            found, artifact = self.peek(stage)
-            if found:
-                self._note(stage, True, key, tracer)
-                return artifact
-            artifact = stage.compute(upstream)
-            with self._lock:
-                self._memory[fingerprint] = artifact
-            if self.spill is not None:
-                self.spill.stage_store(stage.name, fingerprint, artifact)
-            self._note(stage, False, key, tracer)
-            return artifact
 
 
 # ----------------------------------------------------------------------

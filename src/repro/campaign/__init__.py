@@ -270,10 +270,6 @@ class Campaign:
             return self._run_process(on_cell)
         journal = policy.normalized_journal()
         cache = policy.normalized_cache()
-        memo = None
-        if policy.stage_memo:
-            from repro.cache import StageMemo
-            memo = StageMemo(spill=cache)
 
         tasks: list[CellTask] = []
         owners: list[tuple[CampaignLane, "SweepSpec"]] = []
@@ -315,7 +311,6 @@ class Campaign:
             scheduler=scheduler,
             tracer=tracer,
             cache=cache,
-            memo=memo,
         )
 
         return self._assemble(results, breakers, scheduler,
@@ -384,7 +379,6 @@ class Campaign:
             trace_run=(tracer.run if tracer is not None else ""),
             cache_dir=(str(cache.directory) if cache is not None
                        else None),
-            stage_memo=policy.stage_memo,
         )
 
         def relay(result: CellResult) -> None:
@@ -466,8 +460,6 @@ class Campaign:
             key=f"{lane.label}::{spec.label}",
             compile_fn=lambda: backend.compile(spec.model, spec.train,
                                                **spec.options),
-            stages_fn=lambda: backend.compile_pipeline(
-                spec.model, spec.train, **spec.options),
             run_fn=run_fn,
             is_transient=backend.is_transient,
             executor=executor,

@@ -32,12 +32,11 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core.stages import run_stages
 from repro.resilience.executor import CellOutcome, ResilientExecutor
 from repro.resilience.journal import JournalEntry, ShardedJournal, SweepJournal
 
 if TYPE_CHECKING:  # the scheduler module imports nothing from here
-    from repro.cache import CompileCache, StageMemo
+    from repro.cache import CompileCache
     from repro.campaign.scheduler import Scheduler
     from repro.observe import TraceRecorder
 
@@ -66,11 +65,6 @@ class CellTask:
         fingerprint: the cell's content-addressed cache key (see
             :func:`repro.cache.cell_fingerprint`); ``None`` means the
             cell bypasses any configured compile cache.
-        stages_fn: zero-arg callable building the cell's staged compile
-            pipeline (a :class:`~repro.core.stages.CompileStage` list).
-            When the engine runs with a :class:`~repro.cache.StageMemo`
-            this replaces ``compile_fn`` so stage artifacts are shared
-            across cells; without a memo ``compile_fn`` runs as before.
     """
 
     key: str
@@ -84,7 +78,6 @@ class CellTask:
     cost_hint: float | None = None
     family: str = ""
     fingerprint: str | None = None
-    stages_fn: Callable[[], list[Any]] | None = None
 
 
 @dataclass(frozen=True)
@@ -139,8 +132,7 @@ def _execute(task: CellTask, index: int,
              journal: SweepJournal | ShardedJournal | None,
              fallback: ResilientExecutor,
              tracer: "TraceRecorder | None" = None,
-             cache: "CompileCache | None" = None,
-             memo: "StageMemo | None" = None) -> CellResult:
+             cache: "CompileCache | None" = None) -> CellResult:
     outcome = None
     if cache is not None:
         from repro.cache import cached_outcome
@@ -149,17 +141,10 @@ def _execute(task: CellTask, index: int,
     replayed = outcome is not None
     if outcome is None:
         executor = task.executor if task.executor is not None else fallback
-        compile_fn = task.compile_fn
-        if memo is not None and task.stages_fn is not None:
-            stages_fn = task.stages_fn
-
-            def compile_fn() -> Any:
-                return run_stages(stages_fn(), memo, key=task.key,
-                                  tracer=tracer)
         run_fn = task.run_fn
         outcome = executor.execute(
             task.key,
-            _locked(compile_fn, task.serializer),
+            _locked(task.compile_fn, task.serializer),
             _locked(run_fn, task.serializer) if run_fn is not None else None,
             is_transient=task.is_transient,
         )
@@ -190,7 +175,6 @@ def run_cell_tasks(
     scheduler: "Scheduler | None" = None,
     tracer: "TraceRecorder | None" = None,
     cache: "CompileCache | None" = None,
-    memo: "StageMemo | None" = None,
 ) -> list[CellResult]:
     """Execute every task; return results in task order.
 
@@ -218,11 +202,6 @@ def run_cell_tasks(
     would have. Whatever path the drain takes, a scheduler's run
     ledger is flushed once on the way out (batched persistence — see
     :meth:`~repro.observe.RunLedger.flush`).
-
-    ``memo`` (a :class:`~repro.cache.StageMemo`) memoizes *stage*
-    artifacts across cells that carry a ``stages_fn`` — the
-    compile-side complement of ``cache``, sharing upstream work (graph
-    build, partitioning) between cells that differ only downstream.
     """
     journaled: dict[str, JournalEntry] = {}
     if resume and journal is not None:
@@ -260,7 +239,7 @@ def run_cell_tasks(
                         if tracer is not None:
                             tracer.emit("dispatch", key=task.key)
                         result = _execute(task, index, journal, fallback,
-                                          tracer, cache, memo)
+                                          tracer, cache)
                         results[index] = result
                         if scheduler is not None:
                             scheduler.observe(task, result.elapsed)
@@ -279,7 +258,7 @@ def run_cell_tasks(
                 if tracer is not None:
                     tracer.emit("dispatch", key=task.key)
                 result = _execute(task, index, journal, fallback, tracer,
-                                  cache, memo)
+                                  cache)
                 results[index] = result
                 scheduler.observe(task, result.elapsed)
                 if on_result is not None:
@@ -296,11 +275,10 @@ def run_cell_tasks(
         if scheduler is None:
             return _run_pooled(pending, results, max_workers, journal,
                                fallback, on_result, tracer=tracer,
-                               cache=cache, memo=memo)
+                               cache=cache)
         return _run_pooled_scheduled(pending, results, max_workers,
                                      journal, fallback, on_result,
-                                     scheduler, tracer=tracer, cache=cache,
-                                     memo=memo)
+                                     scheduler, tracer=tracer, cache=cache)
     finally:
         if scheduler is not None:
             scheduler.flush()
@@ -322,7 +300,6 @@ def _run_pooled(
     submit_fn: Callable[..., Any] | None = None,
     tracer: "TraceRecorder | None" = None,
     cache: "CompileCache | None" = None,
-    memo: "StageMemo | None" = None,
 ) -> list[CellResult]:
     """The unscheduled pool: submit everything, collect as completed.
 
@@ -334,7 +311,7 @@ def _run_pooled(
     if submit_fn is None:
         def submit_fn(pool: Any, index: int, task: CellTask) -> Any:
             return pool.submit(_execute, task, index, journal, fallback,
-                               tracer, cache, memo)
+                               tracer, cache)
 
     def dispatch(pool: Any, index: int, task: CellTask) -> Any:
         if tracer is not None:
@@ -377,7 +354,6 @@ def _run_pooled_scheduled(
     submit_fn: Callable[..., Any] | None = None,
     tracer: "TraceRecorder | None" = None,
     cache: "CompileCache | None" = None,
-    memo: "StageMemo | None" = None,
 ) -> list[CellResult]:
     """The scheduled pool: incremental dispatch, one pick per free slot.
 
@@ -393,7 +369,7 @@ def _run_pooled_scheduled(
     if submit_fn is None:
         def submit_fn(pool: Any, index: int, task: CellTask) -> Any:
             return pool.submit(_execute, task, index, journal, fallback,
-                               tracer, cache, memo)
+                               tracer, cache)
     first_error: BaseException | None = None
     queue = list(pending)
     workers = min(max_workers, len(pending))

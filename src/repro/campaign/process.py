@@ -127,10 +127,6 @@ class WorkerSpec:
     #: with O_EXCL-style atomic writes, so concurrent workers never
     #: corrupt an entry; eviction stays parent-side.
     cache_dir: str | None = None
-    #: Memoize compile-stage artifacts in each worker (spilling to
-    #: ``cache_dir``'s stage tier when caching is on, so workers share
-    #: upstream work through the filesystem).
-    stage_memo: bool = True
 
 
 class CampaignWorker:
@@ -158,10 +154,6 @@ class CampaignWorker:
         if spec.cache_dir is not None:
             from repro.cache import CompileCache
             self.cache = CompileCache(spec.cache_dir)
-        self.memo = None
-        if spec.stage_memo:
-            from repro.cache import StageMemo
-            self.memo = StageMemo(spill=self.cache)
         self.executors: dict[str, ResilientExecutor] = {}
         for label in spec.backends:
             breaker = None
@@ -186,21 +178,10 @@ class CampaignWorker:
             backend = self.spec.backends[cell.lane]
             run_fn = ((lambda compiled: backend.run(compiled))
                       if cell.measure else None)
-            if self.memo is not None:
-                from repro.core.stages import run_stages
-
-                def compile_fn() -> Any:
-                    return run_stages(
-                        backend.compile_pipeline(cell.model, cell.train,
-                                                 **cell.options),
-                        self.memo, key=cell.key, tracer=self.tracer)
-            else:
-                def compile_fn() -> Any:
-                    return backend.compile(cell.model, cell.train,
-                                           **cell.options)
             outcome = self.executors[cell.lane].execute(
                 cell.key,
-                compile_fn,
+                lambda: backend.compile(cell.model, cell.train,
+                                        **cell.options),
                 run_fn,
                 is_transient=backend.is_transient,
             )

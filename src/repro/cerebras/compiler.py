@@ -23,7 +23,7 @@ beyond 36 layers and the hard compile failure at 78.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import Any
 
 from repro.common.errors import CompilationError, ConfigurationError, OutOfMemoryError
 from repro.common.units import MB
@@ -39,9 +39,7 @@ from repro.core.stages import (
     STAGE_PLACEMENT,
     STAGE_REPORT,
     CompileStage,
-    hardware_digest,
     run_stages,
-    unfingerprinted,
 )
 from repro.cerebras.kernels import Kernel, extract_kernels
 from repro.cerebras.placement import Placement, WaferPlacer
@@ -96,26 +94,20 @@ class WSECompiler:
                 penalty of oversized kernels.
         """
         return run_stages(self.compile_stages(
-            model, train, unfingerprinted, n_replicas=n_replicas,
-            mode=mode, respect_caps=respect_caps))
+            model, train, n_replicas=n_replicas, mode=mode,
+            respect_caps=respect_caps))
 
     def compile_stages(self, model: ModelConfig, train: TrainConfig,
-                       fp_of: Callable[..., str | None],
                        n_replicas: int = 1,
                        mode: str = "pipeline",
                        respect_caps: bool = True) -> list[CompileStage]:
         """:meth:`compile` as a staged pipeline (graph → partition →
         placement → report).
 
-        ``fp_of(name, parent, **params)`` supplies each stage's
-        fingerprint (the backend adapter passes
-        :meth:`~repro.core.backend.AcceleratorBackend.stage_fingerprint`;
-        plain ``compile`` passes
-        :func:`~repro.core.stages.unfingerprinted`). The graph stage
-        keys only on the model/train digests, so a replica or mode
-        sweep re-extracts kernels exactly once; allocation adds the
-        hardware and replica geometry, placement is pure downstream of
-        it, and only the report stage sees ``mode``.
+        The graph stage extracts kernels from the model alone;
+        allocation adds the hardware and replica geometry, placement
+        is pure downstream of it, and only the report stage sees
+        ``mode``.
         """
         if n_replicas < 1:
             raise ConfigurationError("n_replicas must be >= 1")
@@ -224,20 +216,11 @@ class WSECompiler:
                 },
             )
 
-        graph_fp = fp_of(STAGE_GRAPH, "",
-                         model=model.content_digest(),
-                         train=train.content_digest())
-        partition_fp = fp_of(STAGE_PARTITION, graph_fp,
-                             system=hardware_digest(self),
-                             n_replicas=n_replicas,
-                             respect_caps=respect_caps)
-        placement_fp = fp_of(STAGE_PLACEMENT, partition_fp)
-        report_fp = fp_of(STAGE_REPORT, placement_fp, mode=mode)
         return [
-            CompileStage(STAGE_GRAPH, graph_fp, build_graph),
-            CompileStage(STAGE_PARTITION, partition_fp, partition),
-            CompileStage(STAGE_PLACEMENT, placement_fp, place),
-            CompileStage(STAGE_REPORT, report_fp, report),
+            CompileStage(STAGE_GRAPH, build_graph),
+            CompileStage(STAGE_PARTITION, partition),
+            CompileStage(STAGE_PLACEMENT, place),
+            CompileStage(STAGE_REPORT, report),
         ]
 
     # ------------------------------------------------------------------

@@ -40,9 +40,8 @@ structured tracing and the persisted cross-run duration ledger (see
 ``--fault-seed`` to chaos-test a campaign with seeded, per-platform
 calibrated transient faults. ``repro trace DIR`` summarizes a recorded
 trace and exports it to Chrome-tracing JSON; ``repro cache stats DIR``
-prints a compile-cache directory's entry counts and bytes, split by
-tier (whole-cell entries vs per-stage artifacts — see
-``docs/performance.md``).
+prints a compile-cache directory's entry count and bytes (see
+``docs/caching.md``).
 
 All execution behaviour flows through one
 :class:`~repro.resilience.ExecutionPolicy` built by
@@ -440,25 +439,15 @@ def cmd_cache(args: argparse.Namespace) -> int:
     for child in sorted(root.iterdir()):
         if child.name == "ledger.json":
             continue
-        if child.is_dir() and (child.name == CompileCache.STAGE_DIR
-                               or (len(child.name) == 2
-                                   and set(child.name) <= hexdigits)):
+        if (child.is_dir() and len(child.name) == 2
+                and set(child.name) <= hexdigits):
             continue
         raise ConfigurationError(
             f"not a cache directory: {root} "
             f"(unexpected entry {child.name!r})")
-    cache = CompileCache(root)
-    entries = cache.entries()
-    rows: list[list[object]] = [
-        ["cell", len(entries),
-         sum(path.stat().st_size for path in entries)],
-    ]
-    for stage_name, paths in sorted(cache.stage_entries().items()):
-        rows.append([f"stage:{stage_name}", len(paths),
-                     sum(path.stat().st_size for path in paths)])
-    total_entries = sum(int(row[1]) for row in rows)
-    total_bytes = sum(int(row[2]) for row in rows)
-    rows.append(["total", total_entries, total_bytes])
+    entries = CompileCache(root).entries()
+    size = sum(path.stat().st_size for path in entries)
+    rows = [["cell", len(entries), size], ["total", len(entries), size]]
     print(render_table(["tier", "entries", "bytes"], rows,
                        title=f"Cache {root}"))
     return 0
@@ -668,9 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser(
         "cache", help="inspect a compile-cache directory")
     cache.add_argument("action", choices=["stats"],
-                       help="stats: entry counts and bytes per tier "
-                            "(whole-cell entries and per-stage "
-                            "artifacts)")
+                       help="stats: whole-cell entry count and bytes")
     cache.add_argument("dir", help="the cache directory (a policy's "
                                    "--cache DIR)")
     return parser

@@ -282,19 +282,16 @@ class AcceleratorBackend(abc.ABC):
         placement → report); the final stage's artifact is exactly what
         :meth:`compile` returns.
 
-        The default wraps :meth:`compile` in a single unfingerprinted
-        report stage — correct for any backend (wrappers like the
-        fault injector included) but memoizes nothing. The bundled
-        platforms override it with real stage splits whose
-        fingerprints let a :class:`~repro.cache.StageMemo` share
-        upstream work across sweep cells; such overrides must also
-        route :meth:`compile` through
+        The default wraps :meth:`compile` in a single report stage —
+        correct for any backend, wrappers like the fault injector
+        included. The bundled platforms override it with real stage
+        splits, so each stage can be timed on its own; such overrides must also route :meth:`compile` through
         :func:`~repro.core.stages.run_stages` so the two paths cannot
         drift.
         """
         from repro.core.stages import STAGE_REPORT, CompileStage
         return [CompileStage(
-            STAGE_REPORT, None,
+            STAGE_REPORT,
             lambda _prev: self.compile(model, train, **options))]
 
     def _staged_compile_intact(self, owner: type) -> bool:
@@ -304,37 +301,10 @@ class AcceleratorBackend(abc.ABC):
         double, say) changes what compiling *means*; an inherited
         staged pipeline would silently bypass that override. The
         staged backends call this with their own class and fall back
-        to the base single-stage :meth:`compile` wrapper — faithful,
-        just unmemoized — when it returns ``False``.
+        to the base single-stage :meth:`compile` wrapper when it
+        returns ``False``.
         """
         return type(self).compile is owner.compile
-
-    def stage_fingerprint(self, name: str, parent: str | None,
-                          **params: Any) -> str | None:
-        """Fingerprint one pipeline stage, or ``None`` to disable.
-
-        Chains the parent stage's fingerprint (the first stage passes
-        ``parent=""``): a ``None`` parent, or a backend declaring
-        ``deterministic = False``, poisons the whole downstream chain
-        — exactly the cells the whole-cell cache bypasses too. The
-        platform class and :meth:`fingerprint_extra` are always keyed;
-        ``params`` carries the *stage-specific* inputs (config
-        digests for the graph stage, hardware/options slices for
-        partition and placement), which is what lets sweep cells that
-        differ only downstream share an upstream artifact.
-        """
-        if parent is None or not getattr(self, "deterministic", True):
-            return None
-        from repro.cache import CACHE_VERSION, canonical_fingerprint
-        cls = type(self)
-        return canonical_fingerprint({
-            "v": CACHE_VERSION,
-            "stage": name,
-            "platform": f"{cls.__module__}.{cls.__qualname__}",
-            "extra": self.fingerprint_extra(),
-            "parent": parent,
-            "params": params,
-        })
 
     @abc.abstractmethod
     def run(self, compiled: CompileReport) -> RunReport:

@@ -179,10 +179,6 @@ REPORT_TABLES: dict[str, Table] = {
                  value=lambda s: getattr(s, "cache_misses", 0)),
             _col("cache_bypasses", "cache bypassed",
                  value=lambda s: getattr(s, "cache_bypasses", 0)),
-            _col("stage_hits", "stage hits",
-                 value=lambda s: getattr(s, "stage_hits", 0)),
-            _col("stage_misses", "stage misses",
-                 value=lambda s: getattr(s, "stage_misses", 0)),
         )),
     )
 }

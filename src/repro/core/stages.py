@@ -1,38 +1,20 @@
-"""Staged compile pipelines: memoizable sub-steps of ``compile()``.
+"""Staged compile pipelines: the named sub-steps of ``compile()``.
 
-DABench-LLM's cost observation (Sec. IV) is that a sweep varies one
-axis — batch size, PE allocation, TP degree — and leaves the expensive
-upstream compile work identical across most cells. A monolithic
-``compile()`` cannot exploit that: the whole call is cached or nothing
-is. This module gives every backend an explicit staged pipeline —
+Every bundled backend splits its compile into an explicit pipeline —
 **graph build → partition/mapping → placement/allocation → report** —
-where each stage declares its *own* input fingerprint (a sub-slice of
-the cell fingerprint: the graph stage keys only on the model and
-training configurations, not on hardware options), so a
-:class:`~repro.cache.StageMemo` can replay exactly the prefix of the
-pipeline whose inputs did not change.
+so each step can be timed and profiled on its own. A stage is a name
+and a compute function taking the previous stage's artifact (``None``
+for the first stage) and returning its own.
 
-A stage is three things: a name, a fingerprint (``None`` disables
-memoization for that stage — nondeterministic backends produce
-all-``None`` pipelines), and a compute function taking the previous
-stage's artifact (``None`` for the first stage) and returning its own.
-Artifacts must be treated as immutable: a memo hands the *same* object
-to every cell that hits, across campaign lanes and worker threads.
-
-:func:`run_stages` is the one interpreter both the memoized and the
-plain path go through — a backend's ``compile()`` simply runs its own
-pipeline without a memo, so the staged and monolithic results cannot
-drift.
+:func:`run_stages` folds a pipeline into its final artifact. A
+backend's ``compile()`` is exactly ``run_stages(compile_pipeline(...))``,
+so the staged and monolithic results cannot drift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable
-
-if TYPE_CHECKING:
-    from repro.cache import StageMemo
-    from repro.observe import TraceRecorder
+from typing import Any, Callable, Iterable
 
 __all__ = [
     "STAGE_GRAPH",
@@ -40,15 +22,13 @@ __all__ = [
     "STAGE_PLACEMENT",
     "STAGE_REPORT",
     "CompileStage",
-    "hardware_digest",
     "run_stages",
-    "unfingerprinted",
 ]
 
 #: Canonical stage names, in pipeline order. Platforms whose compile
 #: has no distinct placement step (or no model-only graph build) simply
-#: omit that stage — the names are shared vocabulary for fingerprints,
-#: trace events, and the cache directory layout, not a rigid contract.
+#: omit that stage — the names are shared vocabulary for timing and
+#: profiling, not a rigid contract.
 STAGE_GRAPH = "graph"
 STAGE_PARTITION = "partition"
 STAGE_PLACEMENT = "placement"
@@ -57,97 +37,24 @@ STAGE_REPORT = "report"
 
 @dataclass(frozen=True)
 class CompileStage:
-    """One memoizable step of a backend's compile pipeline.
+    """One step of a backend's compile pipeline.
 
     Attributes:
-        name: stage label (usually one of the canonical names above);
-            names the spill subdirectory and the ``stage_cache`` trace
-            events.
-        fingerprint: content-addressed key of everything this stage's
-            artifact depends on — by construction it chains the parent
-            stage's fingerprint, so a hit implies the whole upstream
-            prefix matches. ``None`` disables memoization (the stage
-            always recomputes and is never counted).
+        name: stage label (usually one of the canonical names above).
         compute: produces the stage artifact from the previous stage's
-            (``None`` for the first stage). Must be deterministic when
-            ``fingerprint`` is set, and must not mutate its input.
+            (``None`` for the first stage); must not mutate its input.
     """
 
     name: str
-    fingerprint: str | None
     compute: Callable[[Any], Any] = field(compare=False)
 
 
-def unfingerprinted(name: str, parent: str | None,
-                    **params: Any) -> None:
-    """A fingerprint function that disables memoization everywhere.
-
-    Compilers' plain ``compile()`` entry points build their stage
-    pipelines with this, so the staged and monolithic paths execute
-    the same code with zero caching machinery in between.
-    """
-    return None
-
-
-def hardware_digest(owner: Any) -> str:
-    """Memoized canonical digest of ``owner.system`` (a
-    :class:`~repro.hardware.specs.SystemSpec`), for stage fingerprint
-    params — serialized once per compiler/backend instance, not once
-    per cell."""
-    digest = owner.__dict__.get("_hardware_digest")
-    if digest is None:
-        from dataclasses import asdict
-
-        from repro.cache import canonical_fingerprint
-        digest = canonical_fingerprint(asdict(owner.system))
-        owner._hardware_digest = digest
-    return digest
-
-
-def run_stages(stages: Iterable[CompileStage],
-               memo: "StageMemo | None" = None, *, key: str = "",
-               tracer: "TraceRecorder | None" = None) -> Any:
-    """Run a compile pipeline, replaying memoized stages; returns the
-    final stage's artifact.
-
-    Without a memo this is a plain left fold — the un-memoized
-    ``compile()`` path. With one, the deepest already-memoized stage is
-    found first (a quiet backward probe: the chained fingerprints make
-    "stage N is cached" imply "stages 1..N-1 would hit too"), the
-    satisfied prefix is counted as hits, and only the remaining suffix
-    computes — each suffix stage through
-    :meth:`~repro.cache.StageMemo.resolve`, which publishes the
-    artifact for the next cell. Exactly one ``stage_cache`` trace
-    event (``hit`` / ``miss``) is emitted per fingerprinted stage.
-    """
+def run_stages(stages: Iterable[CompileStage]) -> Any:
+    """Fold a compile pipeline; returns the final stage's artifact."""
     pipeline = list(stages)
     if not pipeline:
         raise ValueError("a compile pipeline needs at least one stage")
     artifact: Any = None
-    if memo is None:
-        for stage in pipeline:
-            artifact = stage.compute(artifact)
-        return artifact
-    start = 0
-    for i in range(len(pipeline) - 1, -1, -1):
-        stage = pipeline[i]
-        if stage.fingerprint is None:
-            continue
-        found, cached = memo.peek(stage)
-        if found:
-            artifact = cached
-            start = i + 1
-            break
-    for i, stage in enumerate(pipeline):
-        if i < start:
-            # Satisfied by the probe hit downstream: the chained
-            # fingerprint proves this stage's artifact fed it.
-            if stage.fingerprint is not None:
-                memo.note_hit(stage, key=key, tracer=tracer)
-            continue
-        if stage.fingerprint is None:
-            artifact = stage.compute(artifact)
-        else:
-            artifact = memo.resolve(stage, artifact, key=key,
-                                    tracer=tracer)
+    for stage in pipeline:
+        artifact = stage.compute(artifact)
     return artifact

@@ -17,9 +17,7 @@ from repro.core.stages import (
     STAGE_PARTITION,
     STAGE_REPORT,
     CompileStage,
-    hardware_digest,
     run_stages,
-    unfingerprinted,
 )
 from repro.gpu.simulator import GPUClusterModel
 from repro.hardware.specs import GPU_CLUSTER, SystemSpec
@@ -55,24 +53,22 @@ class GPUBackend(AcceleratorBackend):
 
     def compile(self, model: ModelConfig, train: TrainConfig,
                 **options: Any) -> CompileReport:
-        return run_stages(self.compile_stages(
-            model, train, unfingerprinted, **options))
+        return run_stages(self.compile_stages(model, train, **options))
 
     def compile_pipeline(self, model: ModelConfig, train: TrainConfig,
                          **options: Any) -> list[CompileStage]:
         if not self._staged_compile_intact(GPUBackend):
             return super().compile_pipeline(model, train, **options)
-        return self.compile_stages(
-            model, train, self.stage_fingerprint, **options)
+        return self.compile_stages(model, train, **options)
 
     def compile_stages(self, model: ModelConfig, train: TrainConfig,
-                       fp_of: Any, tp: int = 1, pp: int = 1, dp: int = 1,
+                       tp: int = 1, pp: int = 1, dp: int = 1,
                        micro_batches: int | None = None) -> list[CompileStage]:
         """Two-stage pipeline: analytic plan, then report assembly.
 
         GPUs are BSP devices with no dataflow mapping, so the whole
         "compile" is the cost-model breakdown; there is no model-only
-        graph stage worth memoizing separately.
+        graph stage.
         """
         n_gpus = self.model_.validate(tp, pp, dp)
 
@@ -122,15 +118,9 @@ class GPUBackend(AcceleratorBackend):
                 },
             )
 
-        partition_fp = fp_of(
-            STAGE_PARTITION, "",
-            model=model.content_digest(), train=train.content_digest(),
-            system=hardware_digest(self),
-            tp=tp, pp=pp, dp=dp, micro_batches=micro_batches)
-        report_fp = fp_of(STAGE_REPORT, partition_fp)
         return [
-            CompileStage(STAGE_PARTITION, partition_fp, partition),
-            CompileStage(STAGE_REPORT, report_fp, report),
+            CompileStage(STAGE_PARTITION, partition),
+            CompileStage(STAGE_REPORT, report),
         ]
 
     def run(self, compiled: CompileReport) -> RunReport:

@@ -25,7 +25,7 @@ failure at 10 layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.common.errors import ConfigurationError, OutOfMemoryError
 from repro.common.units import KB
@@ -40,9 +40,7 @@ from repro.core.stages import (
     STAGE_PLACEMENT,
     STAGE_REPORT,
     CompileStage,
-    hardware_digest,
     run_stages,
-    unfingerprinted,
 )
 from repro.graph.partition import balanced_groups
 from repro.hardware.specs import BOW2000_SYSTEM, SystemSpec
@@ -134,11 +132,10 @@ class IPUCompiler:
                 else :data:`DEFAULT_MICRO_BATCHES`.
         """
         return run_stages(self.compile_stages(
-            model, train, unfingerprinted, n_ipus=n_ipus,
-            layers_per_ipu=layers_per_ipu, micro_batches=micro_batches))
+            model, train, n_ipus=n_ipus, layers_per_ipu=layers_per_ipu,
+            micro_batches=micro_batches))
 
     def compile_stages(self, model: ModelConfig, train: TrainConfig,
-                       fp_of: Callable[..., str | None],
                        n_ipus: int = 2,
                        layers_per_ipu: list[int] | None = None,
                        micro_batches: int | None = None
@@ -150,9 +147,8 @@ class IPUCompiler:
         (layer grouping over decoder IPUs, micro-batch schedule) is
         where its compile work starts, and it already depends on the
         IPU count — so the first stage is the partition. Defaults
-        (balanced grouping, the micro-batch heuristic) are resolved
-        *before* fingerprinting: two option spellings that resolve to
-        the same layout share one artifact.
+        (balanced grouping, the micro-batch heuristic) are resolved and
+        the layout validated eagerly, before any stage runs.
         """
         if n_ipus < 2:
             raise ConfigurationError(
@@ -255,19 +251,10 @@ class IPUCompiler:
                 },
             )
 
-        partition_fp = fp_of(STAGE_PARTITION, "",
-                             model=model.content_digest(),
-                             train=train.content_digest(),
-                             system=hardware_digest(self),
-                             n_ipus=n_ipus,
-                             layers_per_ipu=resolved_layers,
-                             micro_batches=micro_batches)
-        placement_fp = fp_of(STAGE_PLACEMENT, partition_fp)
-        report_fp = fp_of(STAGE_REPORT, placement_fp)
         return [
-            CompileStage(STAGE_PARTITION, partition_fp, partition),
-            CompileStage(STAGE_PLACEMENT, placement_fp, place),
-            CompileStage(STAGE_REPORT, report_fp, report),
+            CompileStage(STAGE_PARTITION, partition),
+            CompileStage(STAGE_PLACEMENT, place),
+            CompileStage(STAGE_REPORT, report),
         ]
 
     # ------------------------------------------------------------------

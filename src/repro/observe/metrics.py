@@ -145,6 +145,8 @@ class ObservabilityStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_bypasses: int = 0
+    # Always 0 (compile stages are not memoized), neither shown nor
+    # serialized: kept because the perfbench harness still reads them.
     stage_hits: int = 0
     stage_misses: int = 0
 
@@ -169,7 +171,7 @@ def aggregate_observability(
                 "run_seconds": 0.0, "retries": 0, "gated": 0,
                 "sigkills": 0, "worker_crashes": 0, "isolations": 0,
                 "quarantines": 0, "cache_hits": 0, "cache_misses": 0,
-                "cache_bypasses": 0, "stage_hits": 0, "stage_misses": 0}
+                "cache_bypasses": 0}
         for label in labels
     }
     prefixes = {label: f"{label}::" for label in labels}
@@ -214,13 +216,6 @@ def aggregate_observability(
                 row["cache_misses"] += 1
             elif event.status == "bypass":
                 row["cache_bypasses"] += 1
-        elif event.name == "stage_cache":
-            # One event per fingerprinted compile stage per cell:
-            # whether the StageMemo served the stage's artifact.
-            if event.status == "hit":
-                row["stage_hits"] += 1
-            elif event.status == "miss":
-                row["stage_misses"] += 1
     out: list[ObservabilityStats] = []
     for label in labels:
         row = rows[label]
@@ -239,8 +234,6 @@ def aggregate_observability(
             cache_hits=int(row["cache_hits"]),
             cache_misses=int(row["cache_misses"]),
             cache_bypasses=int(row["cache_bypasses"]),
-            stage_hits=int(row["stage_hits"]),
-            stage_misses=int(row["stage_misses"]),
         )
         if registry is not None:
             registry.count(f"{label}.events", stats.events)
@@ -249,7 +242,5 @@ def aggregate_observability(
             registry.count(f"{label}.sigkills", stats.sigkills)
             registry.count(f"{label}.cache_hits", stats.cache_hits)
             registry.count(f"{label}.cache_misses", stats.cache_misses)
-            registry.count(f"{label}.stage_hits", stats.stage_hits)
-            registry.count(f"{label}.stage_misses", stats.stage_misses)
         out.append(stats)
     return out

@@ -49,15 +49,6 @@ TRACE_PREFIX = "trace"
 #: Event fields that survive into the canonical (deterministic) merge.
 CANONICAL_FIELDS = ("key", "name", "phase", "status", "attempt")
 
-#: Event names excluded from the canonical merge entirely. A
-#: ``stage_cache`` event says whether a *memo* served a compile stage —
-#: pure telemetry about work sharing, dependent on dispatch order (the
-#: first cell to reach a stage misses, every later one hits), so
-#: keeping it would break the "same merged trace under thread and
-#: process dispatch, memoized or not" guarantee. The events still feed
-#: the Observability rollup and the Chrome export.
-NONCANONICAL_NAMES = frozenset({"stage_cache"})
-
 #: Deterministic within-(key, attempt) ordering of event names. Names
 #: not listed sort after the known lifecycle, alphabetically.
 _NAME_RANK = {
@@ -322,13 +313,9 @@ def merge_events(events: Iterable[TraceEvent]) -> list[TraceEvent]:
     """Deterministic merge order: sorted by canonical fields only.
 
     The result is identical for the same set of canonical events,
-    whatever shards, threads, or processes produced them. Events named
-    in :data:`NONCANONICAL_NAMES` (dispatch-order-dependent telemetry
-    like ``stage_cache``) are dropped here, so the merged trace is
-    also identical with stage memoization on or off.
+    whatever shards, threads, or processes produced them.
     """
-    return sorted((e for e in events if e.name not in NONCANONICAL_NAMES),
-                  key=_canonical_order)
+    return sorted(events, key=_canonical_order)
 
 
 def merged_trace_text(events: Iterable[TraceEvent]) -> str:

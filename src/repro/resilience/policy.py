@@ -152,14 +152,6 @@ class ExecutionPolicy:
             is persisted *inside* the cache directory
             (``<cache>/ledger.json``) so warm re-runs also warm-start
             scheduling.
-        stage_memo: memoize compile-*stage* artifacts across the cells
-            of a run (see :class:`~repro.cache.StageMemo`): cells that
-            share a model build or a partitioning reuse it instead of
-            recomputing, in-process under thread dispatch and through
-            the ``cache`` directory's stage tier under process
-            dispatch. On by default; set ``False`` to force every cell
-            through the full pipeline (e.g. when benchmarking compile
-            cost itself).
         executor: expert escape hatch — a pre-built
             :class:`ResilientExecutor` used verbatim instead of one
             derived from ``retry``/``deadline``/``clock``.
@@ -185,7 +177,6 @@ class ExecutionPolicy:
     trace: bool | str | os.PathLike[str] = False
     ledger: RunLedger | str | os.PathLike[str] | None = None
     cache: Any = None
-    stage_memo: bool = True
     clock: Clock | None = None
     executor: ResilientExecutor | None = None
 

@@ -53,8 +53,7 @@ class SambaNovaBackend(AcceleratorBackend):
                          **options: Any) -> list[CompileStage]:
         if not self._staged_compile_intact(SambaNovaBackend):
             return super().compile_pipeline(model, train, **options)
-        return self.compiler.compile_stages(
-            model, train, self.stage_fingerprint, **options)
+        return self.compiler.compile_stages(model, train, **options)
 
     def run(self, compiled: CompileReport) -> RunReport:
         return self.runtime.run(compiled)

@@ -28,7 +28,7 @@ fits inside one SN30 machine (Sec. VI-A3b).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.common.errors import ConfigurationError, OutOfMemoryError
 from repro.core.backend import (
@@ -42,9 +42,7 @@ from repro.core.stages import (
     STAGE_PARTITION,
     STAGE_REPORT,
     CompileStage,
-    hardware_digest,
     run_stages,
-    unfingerprinted,
 )
 from repro.graph.graph import ComputationGraph
 from repro.graph.ops import OpKind, Operator
@@ -108,20 +106,19 @@ class RDUCompiler:
     def compile(self, model: ModelConfig, train: TrainConfig,
                 mode: str = "O1", tp: int = 1) -> CompileReport:
         """Compile under one of the three RDU modes, optionally with TP."""
-        return run_stages(self.compile_stages(
-            model, train, unfingerprinted, mode=mode, tp=tp))
+        return run_stages(self.compile_stages(model, train, mode=mode,
+                                              tp=tp))
 
     def compile_stages(self, model: ModelConfig, train: TrainConfig,
-                       fp_of: Callable[..., str | None],
                        mode: str = "O1",
                        tp: int = 1) -> list[CompileStage]:
         """:meth:`compile` as a staged pipeline (graph → partition →
         report).
 
-        The graph stage keys only on the model/train digests — an
-        O0/O1/O3 or TP sweep builds the training graph exactly once.
-        Sectioning adds the mode, the TP degree, and the hardware spec;
-        the report stage is pure downstream of the sections. There is
+        The graph stage builds the training graph from the model
+        alone; sectioning adds the mode, the TP degree, and the
+        hardware spec; the report stage is pure downstream of the
+        sections. There is
         no distinct placement stage on the RDU: section mapping *is*
         the placement.
         """
@@ -183,17 +180,10 @@ class RDUCompiler:
                 },
             )
 
-        graph_fp = fp_of(STAGE_GRAPH, "",
-                         model=model.content_digest(),
-                         train=train.content_digest())
-        partition_fp = fp_of(STAGE_PARTITION, graph_fp,
-                             system=hardware_digest(self),
-                             mode=mode, tp=tp)
-        report_fp = fp_of(STAGE_REPORT, partition_fp)
         return [
-            CompileStage(STAGE_GRAPH, graph_fp, build_graph),
-            CompileStage(STAGE_PARTITION, partition_fp, partition),
-            CompileStage(STAGE_REPORT, report_fp, report),
+            CompileStage(STAGE_GRAPH, build_graph),
+            CompileStage(STAGE_PARTITION, partition),
+            CompileStage(STAGE_REPORT, report),
         ]
 
     # ------------------------------------------------------------------

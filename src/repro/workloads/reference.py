@@ -33,7 +33,6 @@ from repro.core.stages import (
     STAGE_REPORT,
     CompileStage,
     run_stages,
-    unfingerprinted,
 )
 from repro.hardware.specs import ChipSpec, MemoryLevel, SystemSpec
 from repro.models.config import ModelConfig, TrainConfig
@@ -93,26 +92,17 @@ class CpuBoundBackend(AcceleratorBackend):
 
     def compile(self, model: ModelConfig, train: TrainConfig,
                 **options: Any) -> CompileReport:
-        return run_stages(self.compile_stages(
-            model, train, unfingerprinted, **options))
+        return run_stages(self.compile_stages(model, train, **options))
 
     def compile_pipeline(self, model: ModelConfig, train: TrainConfig,
                          **options: Any) -> list[CompileStage]:
         if not self._staged_compile_intact(CpuBoundBackend):
             return super().compile_pipeline(model, train, **options)
-        return self.compile_stages(
-            model, train, self.stage_fingerprint, **options)
+        return self.compile_stages(model, train, **options)
 
-    def compile_stages(self, model: ModelConfig, train: TrainConfig,
-                       fp_of: Any) -> list[CompileStage]:
-        """Two stages: the layer-proportional burn, then assembly.
-
-        The burn's checksum depends only on ``n_layers`` (and the burn
-        factor, via ``fingerprint_extra``), so the graph stage keys on
-        exactly that — cells differing only in batch size share one
-        burn under a :class:`~repro.cache.StageMemo`, which is what
-        the cold-campaign benchmark measures.
-        """
+    def compile_stages(self, model: ModelConfig,
+                       train: TrainConfig) -> list[CompileStage]:
+        """Two stages: the layer-proportional burn, then assembly."""
         def build_graph(_prev: Any) -> int:
             return _burn(model.n_layers * self.spins_per_layer,
                          seed=model.n_layers)
@@ -133,13 +123,9 @@ class CpuBoundBackend(AcceleratorBackend):
                     weight_bytes=float(model.n_layers)),
                 meta={"checksum": checksum})
 
-        graph_fp = fp_of(STAGE_GRAPH, "", n_layers=model.n_layers)
-        report_fp = fp_of(STAGE_REPORT, graph_fp,
-                          model=model.content_digest(),
-                          train=train.content_digest())
         return [
-            CompileStage(STAGE_GRAPH, graph_fp, build_graph),
-            CompileStage(STAGE_REPORT, report_fp, report),
+            CompileStage(STAGE_GRAPH, build_graph),
+            CompileStage(STAGE_REPORT, report),
         ]
 
     def run(self, compiled: CompileReport) -> RunReport:

@@ -130,8 +130,6 @@ def cell_tasks(backend: AcceleratorBackend, specs: list[SweepSpec],
             key=f"{key_prefix}{spec.label}",
             compile_fn=lambda spec=spec: backend.compile(
                 spec.model, spec.train, **spec.options),
-            stages_fn=lambda spec=spec: backend.compile_pipeline(
-                spec.model, spec.train, **spec.options),
             run_fn=run_fn,
             is_transient=backend.is_transient,
             executor=executor,
@@ -189,10 +187,6 @@ def run_grid(backend: AcceleratorBackend,
 
     tracer = policy.make_tracer()
     cache = policy.normalized_cache()
-    memo = None
-    if policy.stage_memo:
-        from repro.cache import StageMemo
-        memo = StageMemo(spill=cache)
     tasks = cell_tasks(backend, specs,
                        policy.make_executor(backend.name, tracer=tracer),
                        measure=measure, fingerprints=cache is not None)
@@ -206,7 +200,6 @@ def run_grid(backend: AcceleratorBackend,
         scheduler=policy.make_scheduler(tracer),
         tracer=tracer,
         cache=cache,
-        memo=memo,
     )
     if cache is not None:
         cache.prune()
@@ -271,7 +264,6 @@ def _run_grid_process(backend: AcceleratorBackend,
         trace_dir=str(trace_dir) if trace_dir is not None else None,
         trace_run=tracer.run if tracer is not None else "",
         cache_dir=str(cache.directory) if cache is not None else None,
-        stage_memo=policy.stage_memo,
     )
     results = run_cell_specs(
         cells,

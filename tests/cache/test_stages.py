@@ -1,13 +1,9 @@
-"""Staged compile memoization: ``CompileStage``, ``run_stages``,
-``StageMemo``, and the cache's stage tier.
+"""Staged compile pipelines and the cache's unit contracts.
 
-The campaign-level story — thread and process dispatch sharing
-upstream compile work, byte-identical results, the Observability
-rollup — lives in ``benchmarks/test_cold_campaign.py`` and
-``tests/integration/``. This file pins the unit contracts: fold
-semantics, the backward probe, per-stage counters, spill round-trips,
-the thundering herd, the prune/reader race, and the memoized config
-digests the fingerprints are built from.
+``run_stages`` is a plain left fold, and every bundled backend's
+``compile()`` equals the fold of its ``compile_pipeline()`` on the
+paper's own cells. The rest pins the prune/reader race and the
+memoized config digests the cell fingerprints are built from.
 """
 
 import threading
@@ -17,18 +13,23 @@ import pytest
 
 from repro.cache import (
     CompileCache,
-    StageMemo,
     canonical_fingerprint,
     cell_fingerprint,
 )
+from repro.cerebras.backend import CerebrasBackend
 from repro.core.stages import (
     STAGE_GRAPH,
+    STAGE_PARTITION,
+    STAGE_PLACEMENT,
     STAGE_REPORT,
     CompileStage,
     run_stages,
-    unfingerprinted,
 )
+from repro.gpu.backend import GPUBackend
+from repro.graphcore.backend import GraphcoreBackend
 from repro.models.config import TrainConfig, gpt2_model
+from repro.models.precision import Precision, PrecisionPolicy
+from repro.sambanova.backend import SambaNovaBackend
 from repro.workloads.reference import CpuBoundBackend
 
 
@@ -36,7 +37,7 @@ def fp(tag):
     return canonical_fingerprint({"tag": tag})
 
 
-def two_stages(calls, graph_fp, report_fp):
+def two_stages(calls):
     """graph -> report, logging every compute into ``calls``."""
     def build_graph(_prev):
         calls.append("graph")
@@ -46,22 +47,14 @@ def two_stages(calls, graph_fp, report_fp):
         calls.append("report")
         return {"from": graph["nodes"]}
 
-    return [CompileStage(STAGE_GRAPH, graph_fp, build_graph),
-            CompileStage(STAGE_REPORT, report_fp, report)]
-
-
-class FakeTracer:
-    def __init__(self):
-        self.events = []
-
-    def emit(self, name, **fields):
-        self.events.append((name, fields))
+    return [CompileStage(STAGE_GRAPH, build_graph),
+            CompileStage(STAGE_REPORT, report)]
 
 
 class TestRunStages:
     def test_without_memo_is_a_plain_fold(self):
         calls = []
-        result = run_stages(two_stages(calls, fp("g"), fp("r")))
+        result = run_stages(two_stages(calls))
         assert result == {"from": 3}
         assert calls == ["graph", "report"]
 
@@ -69,153 +62,81 @@ class TestRunStages:
         with pytest.raises(ValueError):
             run_stages([])
 
-    def test_unfingerprinted_disables_memoization(self):
-        assert unfingerprinted(STAGE_GRAPH, "", n_layers=4) is None
+
+SMALL = gpt2_model("small")
+BF16 = PrecisionPolicy.pure(Precision.BF16)
+WSE = (STAGE_GRAPH, STAGE_PARTITION, STAGE_PLACEMENT, STAGE_REPORT)
+RDU = (STAGE_GRAPH, STAGE_PARTITION, STAGE_REPORT)
+IPU = (STAGE_PARTITION, STAGE_PLACEMENT, STAGE_REPORT)
+GPU = (STAGE_PARTITION, STAGE_REPORT)
+
+#: (backend class, model, train, options, stage names): paper cells.
+PAPER_CELLS = {
+    # Table I: WSE allocation vs layers at batch 64.
+    "wse/t1-L12": (CerebrasBackend, SMALL.with_layers(12),
+                   TrainConfig(batch_size=64, seq_len=1024), {}, WSE),
+    # Table III: WSE intra-chip data parallelism and weight streaming.
+    "wse/t3-dp2": (CerebrasBackend, SMALL,
+                   TrainConfig(batch_size=256, seq_len=1024),
+                   {"n_replicas": 2}, WSE),
+    "wse/t3-stream": (CerebrasBackend, SMALL,
+                      TrainConfig(batch_size=256, seq_len=1024),
+                      {"mode": "weight_streaming"}, WSE),
+    # Fig. 7a: RDU allocation under each compile mode.
+    **{f"rdu/f7a-L8-{mode}": (
+        SambaNovaBackend, SMALL.with_layers(8),
+        TrainConfig(batch_size=16, seq_len=1024, precision=BF16),
+        {"mode": mode}, RDU) for mode in ("O0", "O1", "O3")},
+    # Fig. 9d: IPU layers on two IPUs.
+    "ipu/f9d-L6": (GraphcoreBackend, SMALL.with_layers(6),
+                   TrainConfig(batch_size=32, seq_len=1024),
+                   {"n_ipus": 2}, IPU),
+    # Table III: GPU tensor x pipeline parallelism on GPT-2 XL.
+    "gpu/t3-T4P2D1": (GPUBackend, gpt2_model("xlarge"),
+                      TrainConfig(batch_size=64, seq_len=1024,
+                                  precision=PrecisionPolicy.mixed(
+                                      Precision.BF16)),
+                      {"tp": 4, "pp": 2, "dp": 1}, GPU),
+}
+
+
+class TestPipelineMatchesCompile:
+    """``compile()`` and the staged fold must never drift: the
+    benchmark times each stage of ``compile_pipeline()`` on its own
+    and relies on their fold being the compile."""
+
+    @pytest.mark.parametrize("cell", sorted(PAPER_CELLS))
+    def test_fold_equals_compile(self, cell):
+        cls, model, train, options, names = PAPER_CELLS[cell]
+        backend = cls()
+        pipeline = backend.compile_pipeline(model, train, **options)
+        assert tuple(stage.name for stage in pipeline) == names
+        assert run_stages(pipeline) == backend.compile(model, train,
+                                                       **options)
+
+    def test_equality_is_not_vacuous(self):
+        cls, model, train, _, _ = PAPER_CELLS["wse/t3-stream"]
+        backend = cls()
+        assert (backend.compile(model, train)
+                != backend.compile(model, train, mode="weight_streaming"))
+
+    @pytest.mark.parametrize("cls", [CerebrasBackend, SambaNovaBackend,
+                                     GraphcoreBackend, GPUBackend,
+                                     CpuBoundBackend])
+    def test_compile_override_gets_single_stage_fallback(self, cls):
         calls = []
-        memo = StageMemo()
-        for _ in range(2):
-            run_stages(two_stages(calls, None, None), memo)
-        assert calls == ["graph", "report"] * 2
-        assert memo.stats() == {"hits": {}, "misses": {}}
 
+        class Overridden(cls):
+            def compile(self, model, train, **options):
+                calls.append(options)
+                return "overridden"
 
-class TestStageMemo:
-    def test_miss_then_full_prefix_hit(self):
-        calls = []
-        memo = StageMemo()
-        first = run_stages(two_stages(calls, fp("g"), fp("r")), memo)
-        second = run_stages(two_stages(calls, fp("g"), fp("r")), memo)
-        # Second run computed nothing — the backward probe found the
-        # report stage memoized, which proves the whole prefix matched.
-        assert calls == ["graph", "report"]
-        assert second is first
-        assert memo.stats() == {
-            "hits": {STAGE_GRAPH: 1, STAGE_REPORT: 1},
-            "misses": {STAGE_GRAPH: 1, STAGE_REPORT: 1},
-        }
-
-    def test_shared_upstream_partial_hit(self):
-        calls = []
-        memo = StageMemo()
-        run_stages(two_stages(calls, fp("g"), fp("r1")), memo)
-        run_stages(two_stages(calls, fp("g"), fp("r2")), memo)
-        # The cells differ only downstream: one graph burn, two reports.
-        assert calls == ["graph", "report", "report"]
-        assert memo.stats()["hits"] == {STAGE_GRAPH: 1}
-        assert memo.stats()["misses"] == {STAGE_GRAPH: 1,
-                                          STAGE_REPORT: 2}
-
-    def test_unfingerprinted_middle_stage_always_recomputes(self):
-        calls = []
-
-        def pipeline():
-            stages = two_stages(calls, fp("g"), fp("r"))
-            def middle(artifact):
-                calls.append("middle")
-                return artifact
-            stages.insert(1, CompileStage("middle", None, middle))
-            return stages
-
-        memo = StageMemo()
-        run_stages(pipeline(), memo)
-        run_stages(pipeline(), memo)
-        # The probe's report hit satisfies everything upstream, the
-        # unfingerprinted stage included — it only recomputes when it
-        # actually sits on the recomputed suffix.
-        assert calls == ["graph", "middle", "report"]
-        assert "middle" not in memo.stats()["misses"]
-
-    def test_one_trace_event_per_fingerprinted_stage(self):
-        memo = StageMemo()
-        tracer = FakeTracer()
-        run_stages(two_stages([], fp("g"), fp("r")), memo,
-                   key="cell-1", tracer=tracer)
-        run_stages(two_stages([], fp("g"), fp("r")), memo,
-                   key="cell-2", tracer=tracer)
-        assert [(n, f["key"], f["phase"], f["status"])
-                for n, f in tracer.events] == [
-            ("stage_cache", "cell-1", STAGE_GRAPH, "miss"),
-            ("stage_cache", "cell-1", STAGE_REPORT, "miss"),
-            ("stage_cache", "cell-2", STAGE_GRAPH, "hit"),
-            ("stage_cache", "cell-2", STAGE_REPORT, "hit"),
-        ]
-
-    def test_thundering_herd_computes_once(self):
-        calls = []
-        memo = StageMemo()
-        barrier = threading.Barrier(8)
-        results = []
-
-        def race():
-            barrier.wait()
-            results.append(
-                run_stages(two_stages(calls, fp("g"), fp("r")), memo))
-
-        threads = [threading.Thread(target=race) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Of 8 threads racing the same cold pipeline, one computed and
-        # the other 7 blocked on the per-fingerprint lock, then
-        # replayed the same artifact object.
-        assert calls.count("graph") == 1
-        assert calls.count("report") == 1
-        assert all(r is results[0] for r in results)
-        stats = memo.stats()
-        assert stats["misses"][STAGE_REPORT] == 1
-        assert stats["hits"][STAGE_REPORT] == 7
-
-
-class TestStageSpill:
-    def test_round_trip_across_memos(self, tmp_path):
-        calls = []
-        cache = CompileCache(tmp_path)
-        run_stages(two_stages(calls, fp("g"), fp("r")),
-                   StageMemo(spill=cache))
-        # A fresh memo — another worker process — finds the artifacts
-        # through the spill without recomputing anything.
-        fresh = StageMemo(spill=cache)
-        result = run_stages(two_stages(calls, fp("g"), fp("r")), fresh)
-        assert calls == ["graph", "report"]
-        assert result == {"from": 3}
-        assert fresh.stats()["hits"] == {STAGE_GRAPH: 1,
-                                         STAGE_REPORT: 1}
-
-    def test_stage_tier_is_invisible_to_cell_accounting(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        run_stages(two_stages([], fp("g"), fp("r")),
-                   StageMemo(spill=cache))
-        assert len(cache) == 0
-        assert cache.entries() == []
-        assert sorted(cache.stage_entries()) == [STAGE_GRAPH,
-                                                 STAGE_REPORT]
-
-    def test_corrupt_spilled_artifact_degrades_to_miss(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        path = cache.stage_path(STAGE_GRAPH, fp("g"))
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b"not a pickle")
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            found, artifact = cache.stage_lookup(STAGE_GRAPH, fp("g"))
-        assert (found, artifact) == (False, None)
-        assert not path.exists()  # dropped so it can be rewritten
-        calls = []
-        run_stages(two_stages(calls, fp("g"), fp("r")),
-                   StageMemo(spill=cache))
-        assert calls == ["graph", "report"]
-
-    def test_foreign_stage_artifact_dropped(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        assert cache.stage_store(STAGE_GRAPH, fp("g"), 123)
-        moved = cache.stage_path(STAGE_REPORT, fp("g"))
-        moved.parent.mkdir(parents=True)
-        moved.write_bytes(
-            cache.stage_path(STAGE_GRAPH, fp("g")).read_bytes())
-        with pytest.warns(RuntimeWarning, match="fingerprint/schema"):
-            found, _ = cache.stage_lookup(STAGE_REPORT, fp("g"))
-        assert not found
-        assert not moved.exists()
+        backend = Overridden()
+        pipeline = backend.compile_pipeline(SMALL, TrainConfig(),
+                                            probe=1)
+        assert [stage.name for stage in pipeline] == [STAGE_REPORT]
+        assert run_stages(pipeline) == "overridden"
+        assert calls == [{"probe": 1}]
 
 
 class TestPruneRace:

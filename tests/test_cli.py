@@ -350,21 +350,28 @@ class TestCacheCommand:
         cache = CompileCache(tmp_path / "cc")
         cache.store(canonical_fingerprint({"cell": 1}), {"compiled": 1})
         cache.store(canonical_fingerprint({"cell": 2}), {"compiled": 2})
-        cache.stage_store("graph", canonical_fingerprint({"s": 1}), 11)
-        cache.stage_store("report", canonical_fingerprint({"s": 2}), 22)
         return cache
 
     def test_stats_table_breaks_down_tiers(self, capsys, tmp_path):
-        self._populated(tmp_path)
+        cache = self._populated(tmp_path)
+        size = sum(path.stat().st_size for path in cache.entries())
         assert main(["cache", "stats", str(tmp_path / "cc")]) == 0
         out = capsys.readouterr().out
         cells = [[col.strip() for col in line.split("|")]
                  for line in out.splitlines() if "|" in line]
-        rows = {row[0]: row[1] for row in cells
-                if row[0] in ("cell", "stage:graph", "stage:report",
-                              "total")}
-        assert rows == {"cell": "2", "stage:graph": "1",
-                        "stage:report": "1", "total": "4"}
+        # One tier is left: the whole-cell entries, plus their total.
+        assert [row for row in cells if row[0] != "tier"] == [
+            ["cell", "2", str(size)], ["total", "2", str(size)]]
+
+    def test_leftover_stage_directory_rejected(self, capsys, tmp_path):
+        # Older versions spilled stage artifacts under <cache>/stage/;
+        # nothing reads them any more, so stats flags the directory.
+        self._populated(tmp_path)
+        (tmp_path / "cc" / "stage" / "graph").mkdir(parents=True)
+        assert main(["cache", "stats", str(tmp_path / "cc")]) == 2
+        err = capsys.readouterr().err
+        assert "not a cache directory" in err
+        assert "unexpected entry 'stage'" in err
 
     def test_stats_accepts_a_fresh_empty_directory(self, capsys,
                                                    tmp_path):
