@@ -328,9 +328,9 @@ class CompileCache:
 
 
 # ----------------------------------------------------------------------
-# The engine-facing read-through/store pair. Both dispatch paths (the
-# thread engine and the process-pool CampaignWorker) call exactly these
-# two functions, so the caching invariants cannot drift between them.
+# The engine-facing read-through/store pair, called only from the cell
+# body both dispatch modes share (repro.campaign.engine._run_cell), so
+# the caching invariants cannot drift between threads and processes.
 # ----------------------------------------------------------------------
 def cached_outcome(cache: CompileCache, key: str,
                    fingerprint: str | None,

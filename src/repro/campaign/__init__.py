@@ -39,12 +39,11 @@ Example::
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
+from repro.campaign.dispatch import CampaignLane, LaneRun, _run_lanes
 from repro.campaign.engine import CellResult, CellTask, run_cell_tasks
-# engine must import before scheduler: scheduler type-hints engine tasks.
 from repro.campaign.scheduler import (
     AnalyticCostPredictor,
     CostPredictor,
@@ -55,28 +54,20 @@ from repro.campaign.scheduler import (
     make_predictor,
     simulate_makespan,
 )
-from repro.campaign.process import (
-    CellSpec,
-    WorkerSpec,
-    check_process_policy,
-    run_cell_specs,
-)
+from repro.campaign.process import CellSpec, WorkerSpec, run_cell_specs
 from repro.campaign.supervisor import SupervisionStats, Supervisor
-from repro.cache import cell_fingerprint
 from repro.common.errors import ConfigurationError
 from repro.core.backend import AcceleratorBackend
 from repro.core.report import BenchmarkReport, GRID_HEADERS, sweep_cell_row
 from repro.observe import (
     ObservabilityStats,
-    TraceRecorder,
     aggregate_observability,
     load_events,
 )
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.clock import Clock
 from repro.resilience.executor import ResilientExecutor
 from repro.resilience.journal import STATUS_GATED, STATUS_OK
-from repro.resilience.policy import DISPATCH_PROCESS, ExecutionPolicy
+from repro.resilience.policy import ExecutionPolicy
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from repro.workloads.sweeps import SweepCell, SweepSpec
@@ -104,23 +95,6 @@ __all__ = [
     "make_predictor",
     "simulate_makespan",
 ]
-
-
-@dataclass
-class CampaignLane:
-    """One backend and the specs it should sweep.
-
-    ``label`` defaults to the backend's display name (deduplicated by
-    the campaign when two lanes share it); ``clock`` optionally gives
-    the lane its own time source — with per-lane fake clocks a test can
-    read each lane's simulated busy time independently, which is how
-    the parallel-speedup acceptance test stays deterministic.
-    """
-
-    backend: AcceleratorBackend
-    specs: "Sequence[SweepSpec]"
-    label: str | None = None
-    clock: Clock | None = None
 
 
 @dataclass(frozen=True)
@@ -260,161 +234,30 @@ class Campaign:
 
         ``on_cell(label, cell)`` fires once per cell as it resolves
         (completion order under a pool; spec order when sequential).
+        Cells are keyed ``<lane>::<label>`` and every lane gets its own
+        circuit breaker; under process dispatch the breakers live in
+        the workers, so the health table shows no breaker state.
         """
         # Imported here, not at module level: sweeps builds on the
         # engine in this package, so the cell converters must load late.
         from repro.workloads.sweeps import cell_from_result
 
-        policy = self.policy
-        if policy.dispatch == DISPATCH_PROCESS:
-            return self._run_process(on_cell)
-        journal = policy.normalized_journal()
-        cache = policy.normalized_cache()
+        relay = None
+        if on_cell is not None:
+            callback = on_cell
 
-        tasks: list[CellTask] = []
-        owners: list[tuple[CampaignLane, "SweepSpec"]] = []
-        breakers: dict[str, CircuitBreaker] = {}
-        executors: dict[str, ResilientExecutor] = {}
-        tracer = policy.make_tracer()
-        for lane in self.lanes:
-            assert lane.label is not None
-            clock = lane.clock or policy.clock
-            if isinstance(policy.breaker, CircuitBreaker):
-                breaker = policy.breaker
-            else:
-                breaker = policy.new_breaker(lane.label, clock)
-            breakers[lane.label] = breaker
-            executor = policy.make_executor(lane.label, breaker=breaker,
-                                            clock=clock, tracer=tracer)
-            executors[lane.label] = executor
-            serializer = (None if lane.backend.thread_safe
-                          else threading.Lock())
-            for spec in lane.specs:
-                tasks.append(self._task(lane, spec, executor, serializer,
-                                        cached=cache is not None))
-                owners.append((lane, spec))
+            def relay(lane: CampaignLane, spec: "SweepSpec",
+                      result: CellResult) -> None:
+                assert lane.label is not None
+                callback(lane.label, cell_from_result(spec, result))
 
-        def relay(result: CellResult) -> None:
-            lane, spec = owners[result.index]
-            assert lane.label is not None
-            if on_cell is not None:
-                on_cell(lane.label, cell_from_result(spec, result))
-
-        scheduler = policy.make_scheduler(tracer)
-        results = run_cell_tasks(
-            tasks,
-            max_workers=policy.max_workers,
-            journal=journal,
-            resume=policy.resume,
-            retry_failed=policy.retry_failed,
-            on_result=relay if on_cell is not None else None,
-            scheduler=scheduler,
-            tracer=tracer,
-            cache=cache,
-        )
-
-        return self._assemble(results, breakers, scheduler,
-                              executors=executors, tracer=tracer,
-                              cache=cache)
-
-    def _run_process(self, on_cell: "Callable[[str, SweepCell], None]"
-                     " | None" = None) -> CampaignResult:
-        """The process-dispatch path: picklable specs, per-worker state.
-
-        Cells cross to worker processes as :class:`CellSpec` data; each
-        worker rebuilds the per-lane executors/breakers once and
-        journals into its own shard (see
-        :mod:`repro.campaign.process`). Results, ordering, resume, and
-        scheduler feedback match thread dispatch; the parent-side
-        health table shows no breaker state, which lives and dies with
-        the workers.
-        """
-        from repro.workloads.sweeps import cell_from_result
-
-        policy = self.policy
-        journal = policy.normalized_journal()
-        check_process_policy(
-            policy, journal, api="Campaign",
-            injected_clock=any(lane.clock is not None
-                               for lane in self.lanes))
-
-        cache = policy.normalized_cache()
-        specs: list[CellSpec] = []
-        owners: list[tuple[CampaignLane, "SweepSpec"]] = []
-        for lane in self.lanes:
-            assert lane.label is not None
-            for spec in lane.specs:
-                specs.append(CellSpec(
-                    key=f"{lane.label}::{spec.label}",
-                    lane=lane.label,
-                    model=spec.model,
-                    train=spec.train,
-                    options=dict(spec.options),
-                    measure=self.measure,
-                    cost_hint=estimate_cell_seconds(
-                        lane.backend, spec.model, spec.train,
-                        measure=self.measure),
-                    family=f"{lane.label}::{spec.model.family}",
-                    fingerprint=(cell_fingerprint(
-                        lane.backend, spec.model, spec.train,
-                        spec.options, measure=self.measure)
-                        if cache is not None else None),
-                ))
-                owners.append((lane, spec))
-        tracer = policy.make_tracer()
-        trace_dir = policy.trace_directory()
-        worker = WorkerSpec(
-            backends={lane.label: lane.backend for lane in self.lanes},
-            retry=policy.retry,
-            deadline=policy.deadline,
-            breakers=True,
-            breaker_threshold=policy.breaker_threshold,
-            breaker_reset=policy.breaker_reset,
-            journal_dir=(str(journal.directory)
-                         if journal is not None else None),
-            journal_prefix=(journal.prefix if journal is not None
-                            else "shard"),
-            trace_dir=(str(trace_dir) if trace_dir is not None
-                       else None),
-            trace_run=(tracer.run if tracer is not None else ""),
-            cache_dir=(str(cache.directory) if cache is not None
-                       else None),
-        )
-
-        def relay(result: CellResult) -> None:
-            lane, spec = owners[result.index]
-            assert lane.label is not None
-            if on_cell is not None:
-                on_cell(lane.label, cell_from_result(spec, result))
-
-        scheduler = policy.make_scheduler(tracer)
-        supervisor = policy.make_supervisor(
-            tracer, families={spec.family for spec in specs})
-        results = run_cell_specs(
-            specs,
-            worker=worker,
-            max_workers=policy.max_workers,
-            journal=journal,
-            resume=policy.resume,
-            retry_failed=policy.retry_failed,
-            on_result=relay if on_cell is not None else None,
-            scheduler=scheduler,
-            supervisor=supervisor,
-            tracer=tracer,
-        )
-        return self._assemble(results, {}, scheduler,
-                              supervision=supervisor.stats(),
-                              tracer=tracer, cache=cache)
+        return self._assemble(_run_lanes(
+            self.lanes, self.policy, measure=self.measure,
+            on_result=relay, lane_keys=True, lane_breakers=True,
+            api="Campaign"))
 
     # ------------------------------------------------------------------
-    def _assemble(self, results: list[CellResult],
-                  breakers: dict[str, CircuitBreaker],
-                  scheduler: Scheduler, *,
-                  executors: dict[str, ResilientExecutor] | None = None,
-                  supervision: SupervisionStats | None = None,
-                  tracer: TraceRecorder | None = None,
-                  cache: Any = None,
-                  ) -> CampaignResult:
+    def _assemble(self, run: LaneRun) -> CampaignResult:
         from repro.workloads.sweeps import cell_from_result
 
         policy = self.policy
@@ -424,55 +267,26 @@ class Campaign:
         cursor = 0
         for lane in self.lanes:
             assert lane.label is not None
-            lane_results = results[cursor:cursor + len(lane.specs)]
+            lane_results = run.results[cursor:cursor + len(lane.specs)]
             cursor += len(lane.specs)
             labels.append(lane.label)
             cells[lane.label] = [
                 cell_from_result(spec, result)
                 for spec, result in zip(lane.specs, lane_results)]
-            executor = (executors or {}).get(lane.label)
             stats[lane.label] = self._stats(lane.label, lane_results,
-                                            breakers.get(lane.label),
-                                            executor)
+                                            run.breakers.get(lane.label),
+                                            run.executors.get(lane.label))
         observability: list[ObservabilityStats] | None = None
-        if tracer is not None:
+        if run.tracer is not None:
             observability = aggregate_observability(
-                load_events(tracer.directory, run=tracer.run), labels)
-        if cache is not None:
-            # Eviction is parent-owned: workers only read and publish.
-            cache.prune()
+                load_events(run.tracer.directory, run=run.tracer.run),
+                labels)
         return CampaignResult(labels=labels, cells=cells, stats=stats,
                               policy=policy,
-                              scheduling=scheduler.stats(
+                              scheduling=run.scheduler.stats(
                                   policy.max_workers, policy.dispatch),
-                              supervision=supervision,
+                              supervision=run.supervision,
                               observability=observability)
-
-    # ------------------------------------------------------------------
-    def _task(self, lane: CampaignLane, spec: "SweepSpec",
-              executor: ResilientExecutor,
-              serializer: threading.Lock | None,
-              cached: bool = False) -> CellTask:
-        backend = lane.backend
-        run_fn = ((lambda compiled: backend.run(compiled))
-                  if self.measure else None)
-        return CellTask(
-            key=f"{lane.label}::{spec.label}",
-            compile_fn=lambda: backend.compile(spec.model, spec.train,
-                                               **spec.options),
-            run_fn=run_fn,
-            is_transient=backend.is_transient,
-            executor=executor,
-            serializer=serializer,
-            cost_hint=estimate_cell_seconds(backend, spec.model,
-                                            spec.train,
-                                            measure=self.measure),
-            family=f"{lane.label}::{spec.model.family}",
-            fingerprint=(cell_fingerprint(backend, spec.model,
-                                          spec.train, spec.options,
-                                          measure=self.measure)
-                         if cached else None),
-        )
 
     @staticmethod
     def _stats(label: str, results: list[CellResult],

@@ -1,12 +1,17 @@
-"""The pooled cell dispatcher behind every sweep and campaign.
+"""The thread-dispatch drain, and the cell body both dispatch modes share.
 
-A sweep is a list of independent cells; this module executes such a
-list — sequentially or across a thread pool — with journaling, resume,
-and deterministic result ordering. The higher layers
-(:func:`~repro.workloads.sweeps.run_grid`, the Tier-2 analyzers, and
-:class:`~repro.campaign.Campaign`) all reduce their work to
-:class:`CellTask` lists and call :func:`run_cell_tasks`, so the
-retry/journal/resume semantics cannot drift between entry points.
+A sweep is a list of independent cells. :func:`run_cell_tasks`
+executes a list of :class:`CellTask` closures — inline or across a
+thread pool — with journaling, resume, and deterministic result
+ordering. :func:`~repro.workloads.sweeps.run_grid` and
+:class:`~repro.campaign.Campaign` build their cells in one place
+(:mod:`repro.campaign.dispatch`) and reach this drain under thread
+dispatch; the Tier-2 analyzers build their own task lists and call it
+directly. The process drain (:func:`~repro.campaign.process.run_cell_specs`)
+reuses this module's resume step (:func:`_split_resumed`) and cell body
+(:func:`_run_cell`: cache read-through, executor, journal record,
+``cell`` trace event, cache publish), so the retry/journal/resume/cache
+semantics cannot drift between dispatch modes.
 
 Guarantees:
 
@@ -17,9 +22,9 @@ Guarantees:
   callback ordering on a resumed run).
 * **Crash tolerance** — each finished cell is journaled (fsynced)
   before its result is surfaced; a non-:class:`ReproError` escaping a
-  cell (a harness bug, or an injected "kill") cancels undispatched
-  cells, drains the running ones, and re-raises — journaled outcomes
-  survive for the resume.
+  cell (a harness bug, or an injected "kill") stops dispatch, drains
+  the running cells, and re-raises — journaled outcomes survive for
+  the resume.
 * **Backend serialization** — tasks carrying a ``serializer`` lock
   (backends audited ``thread_safe = False``) never overlap their
   backend calls, while their retries/backoffs still interleave freely.
@@ -28,9 +33,14 @@ Guarantees:
 from __future__ import annotations
 
 import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ThreadPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.resilience.executor import CellOutcome, ResilientExecutor
 from repro.resilience.journal import JournalEntry, ShardedJournal, SweepJournal
@@ -128,40 +138,77 @@ def _locked(fn: Callable[..., Any],
     return guarded
 
 
-def _execute(task: CellTask, index: int,
-             journal: SweepJournal | ShardedJournal | None,
-             fallback: ResilientExecutor,
-             tracer: "TraceRecorder | None" = None,
-             cache: "CompileCache | None" = None) -> CellResult:
+
+
+def _split_resumed(cells: Sequence[Any],
+                   journal: SweepJournal | ShardedJournal | None, *,
+                   resume: bool, retry_failed: bool,
+                   tracer: "TraceRecorder | None",
+                   ) -> tuple[list[CellResult | None],
+                              list[tuple[int, Any]]]:
+    """The resume step both dispatch modes share.
+
+    Returns the result slots (filled for cells the journal already
+    finished) and the ``(index, cell)`` pairs still to execute.
+    ``cells`` are :class:`CellTask` or
+    :class:`~repro.campaign.process.CellSpec` items; only ``key`` is
+    read.
+    """
+    journaled: dict[str, JournalEntry] = {}
+    if resume and journal is not None:
+        journaled = journal.load()
+    results: list[CellResult | None] = [None] * len(cells)
+    pending: list[tuple[int, Any]] = []
+    for index, cell in enumerate(cells):
+        entry = journaled.get(cell.key)
+        if (entry is not None and entry.finished
+                and not (retry_failed and entry.failed)):
+            results[index] = CellResult(index=index, key=cell.key,
+                                        outcome=None, entry=entry,
+                                        resumed=True)
+            if tracer is not None:
+                tracer.emit("resume", key=cell.key, status=entry.status)
+        else:
+            pending.append((index, cell))
+    return results, pending
+
+
+def _run_cell(index: int, cell: Any,
+              execute: Callable[[], CellOutcome], *,
+              journal: SweepJournal | ShardedJournal | None,
+              tracer: "TraceRecorder | None",
+              cache: "CompileCache | None",
+              summary_extra: Callable[[CellOutcome],
+                                      dict[str, Any] | None] | None = None,
+              ) -> CellResult:
+    """The cell body both dispatch modes share.
+
+    Cache read-through, then ``execute()`` on a miss, then the journal
+    record, the ``cell`` trace event and the cache publish. ``cell``
+    is a :class:`CellTask` or a
+    :class:`~repro.campaign.process.CellSpec`; only ``key`` and
+    ``fingerprint`` are read.
+    """
     outcome = None
     if cache is not None:
         from repro.cache import cached_outcome
-        outcome = cached_outcome(cache, task.key, task.fingerprint,
+        outcome = cached_outcome(cache, cell.key, cell.fingerprint,
                                  tracer)
     replayed = outcome is not None
     if outcome is None:
-        executor = task.executor if task.executor is not None else fallback
-        run_fn = task.run_fn
-        outcome = executor.execute(
-            task.key,
-            _locked(task.compile_fn, task.serializer),
-            _locked(run_fn, task.serializer) if run_fn is not None else None,
-            is_transient=task.is_transient,
-        )
+        outcome = execute()
     entry = None
     if journal is not None:
-        extra = None
-        if task.summary_extra is not None:
-            extra = task.summary_extra(outcome)
+        extra = summary_extra(outcome) if summary_extra is not None else None
         entry = outcome.journal_entry(extra)
         journal.record(entry)
     if tracer is not None:
-        tracer.emit("cell", key=task.key, status=outcome.status,
+        tracer.emit("cell", key=cell.key, status=outcome.status,
                     attempt=outcome.attempts, duration=outcome.elapsed)
     if cache is not None and not replayed:
         from repro.cache import store_outcome
-        store_outcome(cache, task.fingerprint, outcome)
-    return CellResult(index=index, key=task.key, outcome=outcome,
+        store_outcome(cache, cell.fingerprint, outcome)
+    return CellResult(index=index, key=cell.key, outcome=outcome,
                       entry=entry, resumed=False)
 
 
@@ -183,14 +230,14 @@ def run_cell_tasks(
     order; under a pool it is completion order — still exactly once
     per cell.
 
-    ``scheduler`` (a :class:`~repro.campaign.scheduler.Scheduler`)
-    reorders *dispatch* only: it picks which pending cell each free
-    worker takes next and is told what every cell actually cost.
-    Results, journal keys, and resume behaviour are identical under
-    every schedule; a non-lane-major schedule with ``max_workers=1``
-    executes cells in predicted-cost order, so ``on_result`` fires in
-    dispatch order rather than task order (resumed cells still resolve
-    first, in task order).
+    ``scheduler`` (a :class:`~repro.campaign.scheduler.Scheduler`;
+    ``None`` means a lane-major one) reorders *dispatch* only: it picks
+    which pending cell each free worker takes next and is told what
+    every cell actually cost. Results, journal keys, and resume
+    behaviour are identical under every schedule; a non-lane-major
+    schedule with ``max_workers=1`` executes cells in predicted-cost
+    order, so ``on_result`` fires in dispatch order rather than task
+    order (resumed cells still resolve first, in task order).
 
     ``tracer`` (a :class:`~repro.observe.TraceRecorder`) records the
     dispatch/resume/cell lifecycle as JSONL trace events — pure
@@ -199,188 +246,100 @@ def run_cell_tasks(
     ``cache`` (a :class:`~repro.cache.CompileCache`) replays
     fingerprinted cells read-through and publishes clean first-attempt
     successes; replayed cells journal exactly what a cold execution
-    would have. Whatever path the drain takes, a scheduler's run
+    would have. Whatever path the drain takes, the scheduler's run
     ledger is flushed once on the way out (batched persistence — see
     :meth:`~repro.observe.RunLedger.flush`).
     """
-    journaled: dict[str, JournalEntry] = {}
-    if resume and journal is not None:
-        journaled = journal.load()
-
-    results: list[CellResult | None] = [None] * len(tasks)
-    pending: list[tuple[int, CellTask]] = []
-    for index, task in enumerate(tasks):
-        entry = journaled.get(task.key)
-        if (entry is not None and entry.finished
-                and not (retry_failed and entry.failed)):
-            results[index] = CellResult(index=index, key=task.key,
-                                        outcome=None, entry=entry,
-                                        resumed=True)
-            if tracer is not None:
-                tracer.emit("resume", key=task.key, status=entry.status)
-        else:
-            pending.append((index, task))
-
+    if scheduler is None:
+        from repro.campaign.scheduler import Scheduler
+        scheduler = Scheduler()
+    results, pending = _split_resumed(tasks, journal, resume=resume,
+                                      retry_failed=retry_failed,
+                                      tracer=tracer)
     fallback = ResilientExecutor()
 
+    def execute(index: int, task: CellTask) -> CellResult:
+        executor = task.executor if task.executor is not None else fallback
+        run_fn = task.run_fn
+        return _run_cell(
+            index, task,
+            lambda: executor.execute(
+                task.key,
+                _locked(task.compile_fn, task.serializer),
+                (_locked(run_fn, task.serializer)
+                 if run_fn is not None else None),
+                is_transient=task.is_transient),
+            journal=journal, tracer=tracer, cache=cache,
+            summary_extra=task.summary_extra)
+
+    def run_next(queue: list[tuple[int, CellTask]]) -> CellResult:
+        index, task = queue.pop(scheduler.pick(queue))
+        if tracer is not None:
+            tracer.emit("dispatch", key=task.key)
+        result = results[index] = execute(index, task)
+        scheduler.observe(task, result.elapsed)
+        return result
+
     try:
-        if max_workers <= 1 or len(pending) <= 1:
-            if scheduler is None or scheduler.is_lane_major:
-                # The pre-scheduler sequential path: strict task order,
-                # resumed callbacks interleaved at their positions. A
-                # lane-major scheduler observes each cell but never
-                # reorders (its pick is always the queue head).
-                queue = list(pending)
-                for index, task in enumerate(tasks):
-                    result = results[index]
-                    if result is None:
-                        if scheduler is not None:
-                            queue.pop(scheduler.pick(queue))
-                        if tracer is not None:
-                            tracer.emit("dispatch", key=task.key)
-                        result = _execute(task, index, journal, fallback,
-                                          tracer, cache)
-                        results[index] = result
-                        if scheduler is not None:
-                            scheduler.observe(task, result.elapsed)
-                    if on_result is not None:
-                        on_result(result)
-                return [r for r in results if r is not None]
-            # Cost-ordered sequential run: resumed cells resolve first
-            # (in task order), then cells execute in scheduler order.
-            if on_result is not None:
-                for result in results:
-                    if result is not None:
-                        on_result(result)
-            queue = list(pending)
-            while queue:
-                index, task = queue.pop(scheduler.pick(queue))
-                if tracer is not None:
-                    tracer.emit("dispatch", key=task.key)
-                result = _execute(task, index, journal, fallback, tracer,
-                                  cache)
-                results[index] = result
-                scheduler.observe(task, result.elapsed)
+        queue = list(pending)
+        if ((max_workers <= 1 or len(pending) <= 1)
+                and scheduler.is_lane_major):
+            # Strict task order, resumed callbacks interleaved at their
+            # positions: a lane-major pick is always the queue head,
+            # which is the next unresolved task.
+            for result in list(results):
+                if result is None:
+                    result = run_next(queue)
                 if on_result is not None:
                     on_result(result)
             return [r for r in results if r is not None]
 
-        # Resumed cells resolve first, in order; executed cells as
-        # completed.
+        # Resumed cells resolve first, in task order; executed cells in
+        # dispatch order (inline) or completion order (pooled).
         if on_result is not None:
             for result in results:
                 if result is not None:
                     on_result(result)
-
-        if scheduler is None:
-            return _run_pooled(pending, results, max_workers, journal,
-                               fallback, on_result, tracer=tracer,
-                               cache=cache)
-        return _run_pooled_scheduled(pending, results, max_workers,
-                                     journal, fallback, on_result,
-                                     scheduler, tracer=tracer, cache=cache)
-    finally:
-        if scheduler is not None:
-            scheduler.flush()
-
-
-def _thread_pool(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=workers,
-                              thread_name_prefix="campaign")
-
-
-def _run_pooled(
-    pending: list[tuple[int, CellTask]],
-    results: list[CellResult | None],
-    max_workers: int,
-    journal: SweepJournal | ShardedJournal | None,
-    fallback: ResilientExecutor | None,
-    on_result: Callable[[CellResult], None] | None,
-    pool_factory: Callable[[int], Any] = _thread_pool,
-    submit_fn: Callable[..., Any] | None = None,
-    tracer: "TraceRecorder | None" = None,
-    cache: "CompileCache | None" = None,
-) -> list[CellResult]:
-    """The unscheduled pool: submit everything, collect as completed.
-
-    ``pool_factory`` / ``submit_fn`` let
-    :mod:`repro.campaign.process` reuse this drain (identical
-    error/cancel/callback semantics) over a process pool executing
-    picklable cell specs instead of in-process tasks.
-    """
-    if submit_fn is None:
-        def submit_fn(pool: Any, index: int, task: CellTask) -> Any:
-            return pool.submit(_execute, task, index, journal, fallback,
-                               tracer, cache)
-
-    def dispatch(pool: Any, index: int, task: CellTask) -> Any:
-        if tracer is not None:
-            tracer.emit("dispatch", key=task.key)
-        return submit_fn(pool, index, task)
-    first_error: BaseException | None = None
-    with pool_factory(min(max_workers, len(pending))) as pool:
-        futures = {dispatch(pool, index, task)
-                   for index, task in pending}
-        while futures:
-            done, futures = wait(futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                if future.cancelled():
-                    continue
-                try:
-                    result = future.result()
-                except BaseException as exc:  # noqa: BLE001 — re-raised
-                    if first_error is None:
-                        first_error = exc
-                        for other in futures:
-                            other.cancel()
-                    continue
-                results[result.index] = result
-                if on_result is not None and first_error is None:
+        if max_workers <= 1 or len(pending) <= 1:
+            while queue:
+                result = run_next(queue)
+                if on_result is not None:
                     on_result(result)
-    if first_error is not None:
-        raise first_error
-    return [r for r in results if r is not None]
+            return [r for r in results if r is not None]
+        return _run_thread_pool(queue, results, max_workers, execute,
+                                on_result, scheduler, tracer)
+    finally:
+        scheduler.flush()
 
 
-def _run_pooled_scheduled(
-    pending: list[tuple[int, CellTask]],
+def _run_thread_pool(
+    queue: list[tuple[int, CellTask]],
     results: list[CellResult | None],
     max_workers: int,
-    journal: SweepJournal | ShardedJournal | None,
-    fallback: ResilientExecutor | None,
+    execute: Callable[[int, CellTask], CellResult],
     on_result: Callable[[CellResult], None] | None,
     scheduler: "Scheduler",
-    pool_factory: Callable[[int], Any] = _thread_pool,
-    submit_fn: Callable[..., Any] | None = None,
-    tracer: "TraceRecorder | None" = None,
-    cache: "CompileCache | None" = None,
+    tracer: "TraceRecorder | None",
 ) -> list[CellResult]:
-    """The scheduled pool: incremental dispatch, one pick per free slot.
+    """The pooled drain: incremental dispatch, one pick per free slot.
 
     Cells are submitted one at a time as workers free up, so an online
     predictor's observations from finished cells inform which pending
-    cell is picked next. Lane-major picks are always the queue head —
-    FIFO, exactly the dispatch order of the submit-everything pool. A
-    harness error (non-:class:`~repro.common.errors.ReproError`) stops
-    further dispatch, drains the in-flight cells, and re-raises, same
-    as the unscheduled pool. ``pool_factory`` / ``submit_fn`` swap the
-    pool exactly as in :func:`_run_pooled`.
+    cell is picked next; lane-major picks are always the queue head
+    (FIFO). A harness error (non-:class:`~repro.common.errors.ReproError`)
+    stops further dispatch, drains the in-flight cells, and re-raises.
     """
-    if submit_fn is None:
-        def submit_fn(pool: Any, index: int, task: CellTask) -> Any:
-            return pool.submit(_execute, task, index, journal, fallback,
-                               tracer, cache)
     first_error: BaseException | None = None
-    queue = list(pending)
-    workers = min(max_workers, len(pending))
-    with pool_factory(workers) as pool:
-        inflight: dict[Any, CellTask] = {}
+    workers = min(max_workers, len(queue))
+    with ThreadPoolExecutor(max_workers=workers,
+                            thread_name_prefix="campaign") as pool:
+        inflight: dict[Future[CellResult], CellTask] = {}
 
         def submit_next() -> None:
             index, task = queue.pop(scheduler.pick(queue))
             if tracer is not None:
                 tracer.emit("dispatch", key=task.key)
-            inflight[submit_fn(pool, index, task)] = task
+            inflight[pool.submit(execute, index, task)] = task
         while queue and len(inflight) < workers:
             submit_next()
         while inflight:

@@ -8,19 +8,24 @@ no wall-clock at all. This module supplies the process path:
 
 * :class:`CellSpec` — a *picklable* description of one cell (no
   closures): key, lane, (model, train, options), and the cost
-  hint/family the scheduler prices it by;
+  hint/family the scheduler prices it by. ``run_grid`` and
+  ``Campaign`` build them in :mod:`repro.campaign.dispatch`, from the
+  same loop that builds their thread-dispatch tasks;
 * :class:`WorkerSpec` — everything a worker process needs to rebuild
   the harness once: the lane backends plus the retry / deadline /
   breaker settings of the :class:`~repro.resilience.ExecutionPolicy`;
 * :func:`run_cell_specs` — the parent-side engine. It resume-skips
-  from the journal exactly like the thread engine, then drives a
-  :class:`~concurrent.futures.ProcessPoolExecutor` through the same
-  drain loops (spec-ordered results, exactly-once callbacks, identical
-  error/cancel semantics).
+  from the journal with the thread engine's resume step, then hands
+  the rest to a :class:`~repro.campaign.supervisor.Supervisor`, the
+  one process-pool drain (spec-ordered results, exactly-once
+  callbacks, the thread drain's error/cancel semantics, plus crash
+  recovery).
 
 Each worker process builds its own
 :class:`~repro.resilience.ResilientExecutor` + circuit breaker per
-lane and journals finished cells into its own
+lane and runs every cell through the thread engine's cell body
+(:func:`~repro.campaign.engine._run_cell`), journaling finished cells
+into its own
 :class:`~repro.resilience.ShardedJournal` shard — the journal's
 atomic generation claim guarantees the processes never share a file,
 and the canonical ``merged_text()`` is byte-identical to a sequential
@@ -44,25 +49,19 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.campaign.engine import (
-    CellResult,
-    _run_pooled,
-    _run_pooled_scheduled,
-)
-from repro.campaign.supervisor import write_heartbeat
+from repro.campaign.engine import CellResult, _run_cell, _split_resumed
+from repro.campaign.supervisor import Supervisor, write_heartbeat
 from repro.common.errors import ConfigurationError
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.executor import ResilientExecutor
-from repro.resilience.journal import JournalEntry, ShardedJournal
+from repro.resilience.journal import ShardedJournal
 from repro.resilience.retry import RetryPolicy
 
 if TYPE_CHECKING:
     from repro.campaign.scheduler import Scheduler
-    from repro.campaign.supervisor import Supervisor
     from repro.core.backend import AcceleratorBackend
     from repro.models.config import ModelConfig, TrainConfig
     from repro.resilience.policy import ExecutionPolicy
@@ -167,38 +166,18 @@ class CampaignWorker:
 
     def execute(self, index: int, cell: CellSpec) -> CellResult:
         """Run one cell to a journaled :class:`CellResult`."""
-        outcome = None
-        fingerprint = getattr(cell, "fingerprint", None)
-        if self.cache is not None:
-            from repro.cache import cached_outcome
-            outcome = cached_outcome(self.cache, cell.key, fingerprint,
-                                     self.tracer)
-        replayed = outcome is not None
-        if outcome is None:
-            backend = self.spec.backends[cell.lane]
-            run_fn = ((lambda compiled: backend.run(compiled))
-                      if cell.measure else None)
-            outcome = self.executors[cell.lane].execute(
+        backend = self.spec.backends[cell.lane]
+        run_fn = ((lambda compiled: backend.run(compiled))
+                  if cell.measure else None)
+        return _run_cell(
+            index, cell,
+            lambda: self.executors[cell.lane].execute(
                 cell.key,
                 lambda: backend.compile(cell.model, cell.train,
                                         **cell.options),
                 run_fn,
-                is_transient=backend.is_transient,
-            )
-        entry: JournalEntry | None = None
-        if self.journal is not None:
-            entry = outcome.journal_entry()
-            self.journal.record(entry)
-        if self.tracer is not None:
-            self.tracer.emit("cell", key=cell.key,
-                             status=outcome.status,
-                             attempt=outcome.attempts,
-                             duration=outcome.elapsed)
-        if self.cache is not None and not replayed:
-            from repro.cache import store_outcome
-            store_outcome(self.cache, fingerprint, outcome)
-        return CellResult(index=index, key=cell.key, outcome=outcome,
-                          entry=entry, resumed=False)
+                is_transient=backend.is_transient),
+            journal=self.journal, tracer=self.tracer, cache=self.cache)
 
 
 class _WorkerHeartbeat:
@@ -259,35 +238,31 @@ class _WorkerHeartbeat:
 #: The process-local worker, set once by :func:`_init_worker`.
 _WORKER: CampaignWorker | None = None
 
-#: The process-local heartbeat stamper (None when unsupervised).
+#: The process-local heartbeat stamper, started by :func:`_init_worker`.
 _HEARTBEAT: _WorkerHeartbeat | None = None
 
 
-def _init_worker(payload: bytes, heartbeat_dir: str | None = None,
-                 heartbeat_interval: float = 5.0,
-                 pool_token: str = "") -> None:
+def _init_worker(payload: bytes, heartbeat_dir: str,
+                 heartbeat_interval: float, pool_token: str) -> None:
     """Pool initializer: rebuild the harness from the pickled seed.
 
     The seed is shipped as explicit pickle bytes (not raw ``initargs``)
     so fork- and spawn-started pools behave identically and every
     worker gets its own deep copy of backend state — fault-plan RNGs
-    included, which keeps injection deterministic *per worker*. Under
-    a :class:`~repro.campaign.supervisor.Supervisor` the initializer
-    also starts the heartbeat stamper.
+    included, which keeps injection deterministic *per worker*. The
+    initializer also starts the heartbeat stamper the
+    :class:`~repro.campaign.supervisor.Supervisor` patrols.
     """
     global _WORKER, _HEARTBEAT
     _WORKER = CampaignWorker(pickle.loads(payload))
-    _HEARTBEAT = None
-    if heartbeat_dir is not None:
-        _HEARTBEAT = _WorkerHeartbeat(heartbeat_dir,
-                                      heartbeat_interval, pool_token)
-        _HEARTBEAT.start()
+    _HEARTBEAT = _WorkerHeartbeat(heartbeat_dir, heartbeat_interval,
+                                  pool_token)
+    _HEARTBEAT.start()
 
 
 def _execute_cell(index: int, cell: CellSpec) -> CellResult:
-    assert _WORKER is not None, "pool initializer did not run"
-    if _HEARTBEAT is None:
-        return _WORKER.execute(index, cell)
+    assert _WORKER is not None and _HEARTBEAT is not None, \
+        "pool initializer did not run"
     _HEARTBEAT.mark(cell.key)
     try:
         return _WORKER.execute(index, cell)
@@ -339,7 +314,7 @@ def run_cell_specs(
     retry_failed: bool = False,
     on_result: Callable[[CellResult], None] | None = None,
     scheduler: "Scheduler | None" = None,
-    supervisor: "Supervisor | None" = None,
+    supervisor: Supervisor | None = None,
     tracer: Any = None,
 ) -> list[CellResult]:
     """Execute every cell spec across a process pool; results in order.
@@ -348,36 +323,26 @@ def run_cell_specs(
     :func:`~repro.campaign.engine.run_cell_tasks`, with the same
     guarantees: results come back in spec order, ``on_result`` fires
     exactly once per cell (resumed cells first, in spec order), the
-    ``scheduler`` reorders dispatch only and is fed each cell's
-    measured seconds, and a harness error cancels undispatched cells
-    and re-raises after the drain. Journaling happens *in the
-    workers* — each process appends finished cells to its own shard,
-    fsynced before the result travels home, so a killed campaign
-    resumes exactly-once from whatever reached disk.
+    ``scheduler`` (``None`` means a lane-major one) reorders dispatch
+    only and is fed each cell's measured seconds, and a harness error
+    stops dispatch and re-raises after the drain. Journaling happens
+    *in the workers* — each process appends finished cells to its own
+    shard, fsynced before the result travels home, so a killed
+    campaign resumes exactly-once from whatever reached disk.
 
-    With a ``supervisor`` the drain additionally survives worker
-    death: crashed/wedged workers are detected (heartbeats), killed
-    (hard deadlines), and the pool is rebuilt with exactly-once resume
-    from the journal — see :class:`~repro.campaign.supervisor.Supervisor`.
+    The drain is the ``supervisor``'s (``None`` means a default
+    :class:`~repro.campaign.supervisor.Supervisor`): crashed/wedged
+    workers are detected (heartbeats), killed (hard deadlines), and
+    the pool is rebuilt with exactly-once resume from the journal.
     """
-    journaled: dict[str, JournalEntry] = {}
-    if resume and journal is not None:
-        journaled = journal.load()
-
-    results: list[CellResult | None] = [None] * len(cells)
-    pending: list[tuple[int, CellSpec]] = []
-    for index, cell in enumerate(cells):
-        entry = journaled.get(cell.key)
-        if (entry is not None and entry.finished
-                and not (retry_failed and entry.failed)):
-            results[index] = CellResult(index=index, key=cell.key,
-                                        outcome=None, entry=entry,
-                                        resumed=True)
-            if tracer is not None:
-                tracer.emit("resume", key=cell.key, status=entry.status)
-        else:
-            pending.append((index, cell))
-
+    if scheduler is None:
+        from repro.campaign.scheduler import Scheduler
+        scheduler = Scheduler()
+    if supervisor is None:
+        supervisor = Supervisor()
+    results, pending = _split_resumed(cells, journal, resume=resume,
+                                      retry_failed=retry_failed,
+                                      tracer=tracer)
     try:
         if on_result is not None:
             for result in results:
@@ -385,36 +350,12 @@ def run_cell_specs(
                     on_result(result)
         if not pending:
             return [r for r in results if r is not None]
-
         payload = _seed_bytes(worker, [cell for _, cell in pending])
-
-        if supervisor is not None:
-            return supervisor.run(pending, results, worker=worker,
-                                  payload=payload,
-                                  max_workers=max_workers,
-                                  journal=journal, on_result=on_result,
-                                  scheduler=scheduler)
-
-        def pool_factory(workers: int) -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_init_worker,
-                                       initargs=(payload,))
-
-        def submit_fn(pool: ProcessPoolExecutor, index: int,
-                      cell: CellSpec) -> Any:
-            return pool.submit(_execute_cell, index, cell)
-
-        if scheduler is None:
-            return _run_pooled(pending, results, max_workers, None,
-                               None, on_result,
-                               pool_factory=pool_factory,
-                               submit_fn=submit_fn, tracer=tracer)
-        return _run_pooled_scheduled(pending, results, max_workers,
-                                     None, None, on_result, scheduler,
-                                     pool_factory=pool_factory,
-                                     submit_fn=submit_fn, tracer=tracer)
+        return supervisor.run(pending, results, worker=worker,
+                              payload=payload, max_workers=max_workers,
+                              journal=journal, on_result=on_result,
+                              scheduler=scheduler)
     finally:
         # The parent-side ledger batches observations in memory; one
         # save per drain, whatever path (or error) the drain took.
-        if scheduler is not None:
-            scheduler.flush()
+        scheduler.flush()

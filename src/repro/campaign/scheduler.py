@@ -118,8 +118,9 @@ class CostPredictor(Protocol):
 class AnalyticCostPredictor:
     """Static predictor: the task's stamped analytic cost hint.
 
-    Task producers (:class:`~repro.campaign.Campaign` and
-    :func:`~repro.workloads.sweeps.cell_tasks`) stamp every task with
+    The cell builder behind :class:`~repro.campaign.Campaign` and
+    :func:`~repro.workloads.sweeps.run_grid`
+    (:mod:`repro.campaign.dispatch`) stamps every cell with
     :func:`estimate_cell_seconds`; this predictor simply trusts it and
     ignores observations.
     """

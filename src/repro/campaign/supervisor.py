@@ -244,8 +244,8 @@ class Supervisor:
             max_workers: int,
             journal: ShardedJournal | None,
             on_result: Callable[[CellResult], None] | None,
-            scheduler: "Scheduler | None") -> list[CellResult]:
-        """The supervised drain: same contract as the engine pools.
+            scheduler: "Scheduler") -> list[CellResult]:
+        """The process drain: same contract as the thread engine's pool.
 
         ``results`` already holds resume-skipped cells (their
         callbacks have fired); ``pending`` is what is left to execute.
@@ -300,9 +300,8 @@ class Supervisor:
                     def submit_at(positions: list[int]) -> None:
                         nonlocal broke, suspect_inflight
                         cand = [queue[p] for p in positions]
-                        choice = (scheduler.pick(cand)
-                                  if scheduler is not None else 0)
-                        index, cell = queue.pop(positions[choice])
+                        index, cell = queue.pop(
+                            positions[scheduler.pick(cand)])
                         if crash_counts.get(cell.key, 0) > 0:
                             suspect_inflight = True
                             if self.tracer is not None:
@@ -355,7 +354,7 @@ class Supervisor:
                                 continue
                             except BaseException as exc:  # noqa: BLE001
                                 # A harness error: cancel + re-raise,
-                                # exactly like the engine pools.
+                                # exactly like the thread pool.
                                 if first_error is None:
                                     first_error = exc
                                     queue.clear()
@@ -363,12 +362,10 @@ class Supervisor:
                             crash_counts.pop(cell.key, None)
                             suspect_inflight = False
                             results[index] = result
-                            if (scheduler is not None
-                                    and first_error is None):
+                            if first_error is None:
                                 scheduler.observe(cell, result.elapsed)
-                            if (on_result is not None
-                                    and first_error is None):
-                                on_result(result)
+                                if on_result is not None:
+                                    on_result(result)
                         if broke is None and first_error is None:
                             self._patrol(hb_dir, token, inflight,
                                          killed)
@@ -477,7 +474,7 @@ class Supervisor:
                  journal: ShardedJournal | None,
                  results: list[CellResult | None],
                  on_result: Callable[[CellResult], None] | None,
-                 scheduler: "Scheduler | None",
+                 scheduler: "Scheduler",
                  ) -> list[tuple[int, "CellSpec"]]:
         """Resolve every cell lost to a pool break.
 
@@ -561,7 +558,7 @@ class Supervisor:
                   elapsed: float, journal: ShardedJournal | None,
                   baseline: dict[str, JournalEntry],
                   on_result: Callable[[CellResult], None] | None,
-                  scheduler: "Scheduler | None") -> CellResult:
+                  scheduler: "Scheduler") -> CellResult:
         """Journal and surface a supervisor-issued final failure."""
         entry = JournalEntry(key=cell.key, status=STATUS_FAILED,
                              attempts=attempts, error=record)
@@ -577,8 +574,7 @@ class Supervisor:
                              error=record.type)
         result = CellResult(index=index, key=cell.key, outcome=outcome,
                             entry=entry, resumed=False)
-        if scheduler is not None:
-            scheduler.observe(cell, elapsed)
+        scheduler.observe(cell, elapsed)
         if on_result is not None:
             on_result(result)
         return result

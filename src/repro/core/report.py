@@ -8,8 +8,11 @@ The campaign telemetry tables (infrastructure health, scheduling,
 supervision, observability) are all defined once as :class:`Table`
 entries in :data:`REPORT_TABLES`: each :class:`Column` carries both the
 rendered heading and the stable serialized key, so the ASCII report and
-``campaign_to_dict`` can never drift apart. The legacy
-``*_HEADERS``/``*_row`` names are thin views over the registry.
+``campaign_to_dict`` can never drift apart; callers read a table's
+``headers`` and ``row`` from the registry. The grid and Tier-1 tables
+(``GRID_HEADERS``/``sweep_cell_row``, ``TIER1_HEADERS``/
+``tier1_summary_row``) render result cells, not telemetry, and sit
+outside it.
 """
 
 from __future__ import annotations
@@ -293,36 +296,6 @@ def sweep_cell_row(cell: object) -> list[object]:
             rate = "-"
     return [cell.spec.label, status, cell.attempts,
             "yes" if cell.resumed else "no", rate]
-
-
-INFRA_HEADERS = REPORT_TABLES["infrastructure"].headers
-SCHEDULING_HEADERS = REPORT_TABLES["scheduling"].headers
-SUPERVISION_HEADERS = REPORT_TABLES["supervision"].headers
-OBSERVABILITY_HEADERS = REPORT_TABLES["observability"].headers
-
-
-def infrastructure_row(stats: object) -> list[object]:
-    """An infrastructure-health row from per-lane campaign statistics
-    (duck-typed over :class:`~repro.campaign.BackendStats`)."""
-    return REPORT_TABLES["infrastructure"].row(stats)
-
-
-def supervision_row(stats: object) -> list[object]:
-    """A supervision-telemetry row (duck-typed over
-    :class:`~repro.campaign.SupervisionStats`)."""
-    return REPORT_TABLES["supervision"].row(stats)
-
-
-def scheduling_row(stats: object) -> list[object]:
-    """A scheduling-telemetry row (duck-typed over
-    :class:`~repro.campaign.SchedulerStats`)."""
-    return REPORT_TABLES["scheduling"].row(stats)
-
-
-def observability_row(stats: object) -> list[object]:
-    """An observability row (duck-typed over
-    :class:`~repro.observe.ObservabilityStats`)."""
-    return REPORT_TABLES["observability"].row(stats)
 
 
 def describe_tier1(result: Tier1Result) -> str:

@@ -24,7 +24,11 @@ from repro.models.config import ModelConfig, TrainConfig
 from repro.models.precision import PrecisionPolicy
 from repro.resilience.executor import CellOutcome, ResilientExecutor
 from repro.resilience.journal import JournalEntry
-from repro.resilience.policy import ExecutionPolicy, reject_removed_kwargs
+from repro.resilience.policy import (
+    DISPATCH_PROCESS,
+    ExecutionPolicy,
+    reject_removed_kwargs,
+)
 
 if TYPE_CHECKING:  # the engine is imported lazily inside the sweeps
     from repro.campaign.engine import CellResult
@@ -32,6 +36,15 @@ if TYPE_CHECKING:  # the engine is imported lazily inside the sweeps
 
 def _serializer_for(backend: AcceleratorBackend) -> threading.Lock | None:
     return None if backend.thread_safe else threading.Lock()
+
+
+def _reject_process(policy: ExecutionPolicy, api: str) -> None:
+    """Tier-2 cells are closures over the analyzer, so they run on
+    threads only; say so rather than ignore ``dispatch``."""
+    if policy.dispatch == DISPATCH_PROCESS:
+        raise ConfigurationError(
+            f"{api}: Tier-2 sweeps run on threads only; "
+            "use dispatch='thread'")
 
 
 @dataclass(frozen=True)
@@ -105,6 +118,7 @@ class ScalabilityAnalyzer:
         reject_removed_kwargs("ScalabilityAnalyzer.sweep", removed)
         if policy is None:
             policy = ExecutionPolicy()
+        _reject_process(policy, "ScalabilityAnalyzer.sweep")
         executor = self._executor_for(policy)
         serializer = _serializer_for(self.backend)
         configs = [(label, dict(options))
@@ -128,6 +142,7 @@ class ScalabilityAnalyzer:
             journal=policy.normalized_journal(),
             resume=policy.resume,
             retry_failed=policy.retry_failed,
+            scheduler=policy.make_scheduler(),
         )
         return [self._point_from_result(label, options, result)
                 for (label, options), result in zip(configs, results)]
@@ -318,6 +333,7 @@ class DeploymentOptimizer:
                               allow_extra=True)
         if policy is None:
             policy = ExecutionPolicy()
+        _reject_process(policy, "DeploymentOptimizer.batch_sweep")
         executor = self._executor_for(policy)
         serializer = _serializer_for(self.backend)
         sizes = list(batch_sizes)
@@ -339,6 +355,7 @@ class DeploymentOptimizer:
             journal=policy.normalized_journal(),
             resume=policy.resume,
             retry_failed=policy.retry_failed,
+            scheduler=policy.make_scheduler(),
         )
         rates: list[float] = []
         errors: dict[int, str] = {}

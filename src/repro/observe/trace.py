@@ -178,7 +178,9 @@ class TraceRecorder:
     of a directory that accumulates shards across runs.
 
     Emitting never raises for IO problems: a trace is telemetry, and
-    losing a shard must not take real work down with it.
+    losing a shard must not take real work down with it. The writer
+    that made a recorder calls :meth:`close` when its run ends; an
+    emit after that opens a fresh shard.
     """
 
     def __init__(self, directory: str | os.PathLike[str],
@@ -191,6 +193,7 @@ class TraceRecorder:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._next_writer = 0
+        self._handles: list[Any] = []
 
     def emit(self, name: str, *, key: str = "", phase: str = "",
              status: str = "", attempt: int = 0, duration: float = 0.0,
@@ -205,7 +208,7 @@ class TraceRecorder:
             handle.write(json.dumps(event.to_dict(), sort_keys=True)
                          + "\n")
             handle.flush()
-        except OSError:
+        except (OSError, ValueError):  # ValueError: closed mid-write
             pass
 
     def _next_seq(self) -> int:
@@ -213,9 +216,16 @@ class TraceRecorder:
         self._local.seq = seq
         return seq
 
+    def close(self) -> None:
+        """Close every shard this recorder opened, from any thread."""
+        with self._lock:
+            handles, self._handles = self._handles, []
+        for handle in handles:
+            handle.close()
+
     def _handle(self) -> Any:
         handle = getattr(self._local, "handle", None)
-        if handle is None:
+        if handle is None or handle.closed:
             with self._lock:
                 writer = self._next_writer
                 self._next_writer += 1
@@ -223,6 +233,8 @@ class TraceRecorder:
                     f"-{self._instance}-{writer:03d}.jsonl")
             self.directory.mkdir(parents=True, exist_ok=True)
             handle = (self.directory / name).open("a", encoding="utf-8")
+            with self._lock:
+                self._handles.append(handle)
             # First line of every shard: the writer's wall-minus-
             # monotonic offset, so the loader can put shards from
             # different processes on one timeline (see _epoch_offset).

@@ -8,9 +8,11 @@ Any :class:`~repro.common.errors.ReproError` escaping the backend
 becomes a failed cell with a structured
 :class:`~repro.common.errors.ErrorRecord` (compile-phase and run-phase
 failures are distinguished). Execution behaviour — retry, per-cell
-deadlines, circuit breaking, journaling/resume, and worker-thread
-fan-out — is described by one
-:class:`~repro.resilience.ExecutionPolicy`::
+deadlines, circuit breaking, journaling/resume, and worker fan-out
+over threads or processes — is described by one
+:class:`~repro.resilience.ExecutionPolicy`, and :func:`run_grid` runs
+through the same cell builder and drains as
+:class:`~repro.campaign.Campaign` (see :mod:`repro.campaign.dispatch`)::
 
     cells = run_grid(backend, specs,
                      policy=ExecutionPolicy(retry=RetryPolicy(2),
@@ -25,21 +27,16 @@ order, whatever order they executed in.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.campaign.engine import CellResult, CellTask, run_cell_tasks
+from repro.campaign.dispatch import CampaignLane, _run_lanes
+from repro.campaign.engine import CellResult
 from repro.common.errors import ErrorRecord
 from repro.core.backend import AcceleratorBackend, CompileReport, RunReport
 from repro.models.config import ModelConfig, TrainConfig
-from repro.resilience.executor import ResilientExecutor
-from repro.resilience.journal import JournalEntry, ShardedJournal
-from repro.resilience.policy import (
-    DISPATCH_PROCESS,
-    ExecutionPolicy,
-    reject_removed_kwargs,
-)
+from repro.resilience.journal import JournalEntry
+from repro.resilience.policy import ExecutionPolicy, reject_removed_kwargs
 
 
 @dataclass(frozen=True)
@@ -106,46 +103,6 @@ def cell_from_result(spec: SweepSpec, result: CellResult) -> SweepCell:
     return _cell_from_outcome(spec, result.outcome)
 
 
-def cell_tasks(backend: AcceleratorBackend, specs: list[SweepSpec],
-               executor: ResilientExecutor, *, measure: bool = True,
-               key_prefix: str = "",
-               fingerprints: bool = False) -> list[CellTask]:
-    """Engine tasks for a spec grid on one backend.
-
-    Non-thread-safe backends get a shared serializer lock so a pooled
-    run never overlaps their calls. Every task is stamped with its
-    analytic cost prediction and workload-family key so a cost-aware
-    :class:`~repro.campaign.scheduler.Scheduler` can order dispatch;
-    with ``fingerprints`` each task also carries its content-addressed
-    cache key (see :func:`repro.cache.cell_fingerprint`).
-    """
-    from repro.cache import cell_fingerprint
-    from repro.campaign.scheduler import estimate_cell_seconds
-
-    serializer = None if backend.thread_safe else threading.Lock()
-    run_fn = ((lambda compiled: backend.run(compiled)) if measure
-              else None)
-    return [
-        CellTask(
-            key=f"{key_prefix}{spec.label}",
-            compile_fn=lambda spec=spec: backend.compile(
-                spec.model, spec.train, **spec.options),
-            run_fn=run_fn,
-            is_transient=backend.is_transient,
-            executor=executor,
-            serializer=serializer,
-            cost_hint=estimate_cell_seconds(backend, spec.model,
-                                            spec.train, measure=measure),
-            family=f"{backend.name}::{spec.model.family}",
-            fingerprint=(cell_fingerprint(backend, spec.model,
-                                          spec.train, spec.options,
-                                          measure=measure)
-                         if fingerprints else None),
-        )
-        for spec in specs
-    ]
-
-
 def run_grid(backend: AcceleratorBackend,
              specs: list[SweepSpec],
              measure: bool = True,
@@ -171,114 +128,19 @@ def run_grid(backend: AcceleratorBackend,
             keywords were removed in 0.3 and raise :class:`TypeError`.
     """
     reject_removed_kwargs("run_grid", removed)
-    if policy is None:
-        policy = ExecutionPolicy()
-
     relay = None
     if on_cell is not None:
         callback = on_cell
 
-        def relay(result: CellResult) -> None:
-            callback(cell_from_result(specs[result.index], result))
+        def relay(lane: CampaignLane, spec: SweepSpec,
+                  result: CellResult) -> None:
+            callback(cell_from_result(spec, result))
 
-    if policy.dispatch == DISPATCH_PROCESS:
-        return _run_grid_process(backend, specs, policy, measure=measure,
-                                 relay=relay)
-
-    tracer = policy.make_tracer()
-    cache = policy.normalized_cache()
-    tasks = cell_tasks(backend, specs,
-                       policy.make_executor(backend.name, tracer=tracer),
-                       measure=measure, fingerprints=cache is not None)
-    results = run_cell_tasks(
-        tasks,
-        max_workers=policy.max_workers,
-        journal=policy.normalized_journal(),
-        resume=policy.resume,
-        retry_failed=policy.retry_failed,
-        on_result=relay,
-        scheduler=policy.make_scheduler(tracer),
-        tracer=tracer,
-        cache=cache,
-    )
-    if cache is not None:
-        cache.prune()
+    # One lane, so bare spec labels key the journal (campaign lanes
+    # share one and prefix their label); breaking is the policy's.
+    run = _run_lanes([CampaignLane(backend, specs, label=backend.name)],
+                     policy if policy is not None else ExecutionPolicy(),
+                     measure=measure, on_result=relay, lane_keys=False,
+                     lane_breakers=False, api="run_grid")
     return [cell_from_result(spec, result)
-            for spec, result in zip(specs, results)]
-
-
-def _run_grid_process(backend: AcceleratorBackend,
-                      specs: list[SweepSpec],
-                      policy: ExecutionPolicy, *, measure: bool,
-                      relay: Callable[[CellResult], None] | None,
-                      ) -> list[SweepCell]:
-    """The grid's process-dispatch path (see
-    :mod:`repro.campaign.process`).
-
-    Journal keys stay ``spec.label``, exactly as on the thread path, so
-    a process-dispatched run and a sequential one resume each other.
-    """
-    from repro.cache import cell_fingerprint
-    from repro.campaign.process import (
-        CellSpec,
-        WorkerSpec,
-        check_process_policy,
-        run_cell_specs,
-    )
-    from repro.campaign.scheduler import estimate_cell_seconds
-
-    store = policy.normalized_journal()
-    check_process_policy(policy, store, api="run_grid")
-    if store is not None:
-        assert isinstance(store, ShardedJournal)  # check_process_policy
-    cache = policy.normalized_cache()
-    cells = [
-        CellSpec(
-            key=spec.label,
-            lane=backend.name,
-            model=spec.model,
-            train=spec.train,
-            options=dict(spec.options),
-            measure=measure,
-            cost_hint=estimate_cell_seconds(backend, spec.model,
-                                            spec.train, measure=measure),
-            family=f"{backend.name}::{spec.model.family}",
-            fingerprint=(cell_fingerprint(backend, spec.model,
-                                          spec.train, spec.options,
-                                          measure=measure)
-                         if cache is not None else None),
-        )
-        for spec in specs
-    ]
-    tracer = policy.make_tracer()
-    trace_dir = policy.trace_directory()
-    worker = WorkerSpec(
-        backends={backend.name: backend},
-        retry=policy.retry,
-        deadline=policy.deadline,
-        breakers=bool(policy.breaker),
-        breaker_threshold=policy.breaker_threshold,
-        breaker_reset=policy.breaker_reset,
-        journal_dir=str(store.directory) if store is not None else None,
-        journal_prefix=store.prefix if store is not None else "shard",
-        trace_dir=str(trace_dir) if trace_dir is not None else None,
-        trace_run=tracer.run if tracer is not None else "",
-        cache_dir=str(cache.directory) if cache is not None else None,
-    )
-    results = run_cell_specs(
-        cells,
-        worker=worker,
-        max_workers=policy.max_workers,
-        journal=store,
-        resume=policy.resume,
-        retry_failed=policy.retry_failed,
-        on_result=relay,
-        scheduler=policy.make_scheduler(tracer),
-        supervisor=policy.make_supervisor(
-            tracer, families={cell.family for cell in cells}),
-        tracer=tracer,
-    )
-    if cache is not None:
-        cache.prune()
-    return [cell_from_result(spec, result)
-            for spec, result in zip(specs, results)]
+            for spec, result in zip(specs, run.results)]

@@ -2,11 +2,10 @@
 
 from repro.core.report import (
     GRID_HEADERS,
-    INFRA_HEADERS,
+    REPORT_TABLES,
     TIER1_HEADERS,
     BenchmarkReport,
     describe_tier1,
-    infrastructure_row,
     render_table,
     sweep_cell_row,
     tier1_summary_row,
@@ -48,6 +47,9 @@ class TestBenchmarkReport:
         assert "=" * len("My Title") in rendered
 
 
+INFRA = REPORT_TABLES["infrastructure"]
+
+
 class TestInfrastructureHealth:
     def test_row_matches_headers(self, cerebras):
         from repro.campaign import Campaign
@@ -57,8 +59,8 @@ class TestInfrastructureHealth:
                          model=gpt2_model("mini").with_layers(2),
                          train=TrainConfig(batch_size=8, seq_len=256))
         result = Campaign([(cerebras, [spec])]).run()
-        row = infrastructure_row(result.stats[cerebras.name])
-        assert len(row) == len(INFRA_HEADERS)
+        row = INFRA.row(result.stats[cerebras.name])
+        assert len(row) == len(INFRA.headers)
         assert row[0] == cerebras.name
 
     def test_table_renders_breaker_columns(self):
@@ -89,9 +91,9 @@ class TestInfrastructureHealth:
             attempts = retries = 0
             breaker = {}
 
-        row = infrastructure_row(Stats())
-        assert row[INFRA_HEADERS.index("breaker")] == "-"
-        assert row[INFRA_HEADERS.index("trips")] == 0
+        row = INFRA.row(Stats())
+        assert row[INFRA.headers.index("breaker")] == "-"
+        assert row[INFRA.headers.index("trips")] == 0
 
     def test_sweep_cell_row_shapes(self, cerebras):
         from repro.workloads.sweeps import SweepSpec, run_grid

@@ -239,6 +239,44 @@ class TestTier2Robustness:
         assert [p.tokens_per_second for p in pooled] == \
             [p.tokens_per_second for p in serial]
 
+    def test_process_dispatch_is_rejected(self, cerebras):
+        from repro.resilience import ExecutionPolicy
+
+        model, train = self.probe_train()
+        policy = ExecutionPolicy(dispatch="process")
+        with pytest.raises(ConfigurationError,
+                           match="ScalabilityAnalyzer.sweep.*threads"):
+            ScalabilityAnalyzer(cerebras).sweep(
+                model, train, [("DP1", {"n_replicas": 1})], policy=policy)
+        with pytest.raises(ConfigurationError,
+                           match="DeploymentOptimizer.batch_sweep.*threads"):
+            DeploymentOptimizer(cerebras).batch_sweep(
+                model, train, [8], policy=policy)
+
+    def test_sweeps_dispatch_through_the_policy_scheduler(self, cerebras):
+        from repro.resilience import ExecutionPolicy
+
+        class Counting:
+            def __init__(self):
+                self.observed = []
+
+            def predict(self, task):
+                return 1.0
+
+            def observe(self, task, seconds):
+                self.observed.append(task.key)
+
+        model, train = self.probe_train()
+        predictor = Counting()
+        policy = ExecutionPolicy(predictor=predictor, max_workers=2)
+        ScalabilityAnalyzer(cerebras).sweep(
+            model, train, [("DP1", {"n_replicas": 1}),
+                           ("DP2", {"n_replicas": 2})], policy=policy)
+        DeploymentOptimizer(cerebras).batch_sweep(
+            model, train, [8, 16], policy=policy)
+        assert sorted(predictor.observed) == \
+            ["DP1", "DP2", "batch=16", "batch=8"]
+
 
 class TestRemovedKeywords:
     """The pre-policy keywords were removed in 0.3 (satellite 1)."""

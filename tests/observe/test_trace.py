@@ -1,7 +1,10 @@
 """TraceRecorder / trace merge determinism / Chrome export."""
 
+import gc
 import json
 import random
+import threading
+import warnings
 
 from repro.observe import (
     TraceEvent,
@@ -60,14 +63,17 @@ class TestRecorder:
         recorder.emit("schedule", key="wse::L2", status="lane-major")
         recorder.emit("compile", key="wse::L2", phase="compile",
                       status="ok", attempt=1, duration=0.5)
+        recorder.close()
         events = load_events(tmp_path, run="abcd1234")
         assert [e.name for e in events] == ["schedule", "compile"]
         assert events[1].duration == 0.5
         assert events[0].seq == 1 and events[1].seq == 2
 
     def test_run_token_filters_shards(self, tmp_path):
-        TraceRecorder(tmp_path, run="run1aaaa").emit("cell", key="a")
-        TraceRecorder(tmp_path, run="run2bbbb").emit("cell", key="b")
+        for run, key in (("run1aaaa", "a"), ("run2bbbb", "b")):
+            recorder = TraceRecorder(tmp_path, run=run)
+            recorder.emit("cell", key=key)
+            recorder.close()
         assert len(load_events(tmp_path)) == 2
         only = load_events(tmp_path, run="run1aaaa")
         assert [e.key for e in only] == ["a"]
@@ -77,6 +83,7 @@ class TestRecorder:
     def test_torn_lines_are_skipped(self, tmp_path):
         recorder = TraceRecorder(tmp_path, run="cafe0000")
         recorder.emit("cell", key="good")
+        recorder.close()
         shard = trace_shard_paths(tmp_path)[0]
         with shard.open("a") as handle:
             handle.write('{"name": "cell", "key": "torn", "ts"')
@@ -89,6 +96,37 @@ class TestRecorder:
         # mkdir/open under a file path fails with OSError; telemetry
         # must swallow it rather than kill the cell being traced.
         TraceRecorder(blocker / "sub").emit("cell", key="k")
+
+    def test_close_releases_every_writer_shard(self, tmp_path):
+        recorder = TraceRecorder(tmp_path, run="c105e000")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            threads = [threading.Thread(target=recorder.emit,
+                                        args=("cell",),
+                                        kwargs={"key": f"t{i}"})
+                       for i in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            recorder.emit("cell", key="main")
+            recorder.close()
+            del recorder, threads
+            gc.collect()
+        assert [w for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
+        assert len(trace_shard_paths(tmp_path)) == 4
+        assert sorted(e.key for e in load_events(tmp_path)) == \
+            ["main", "t0", "t1", "t2"]
+
+    def test_emit_after_close_opens_a_fresh_shard(self, tmp_path):
+        recorder = TraceRecorder(tmp_path, run="c105e001")
+        recorder.emit("cell", key="a")
+        recorder.close()
+        recorder.emit("cell", key="b")
+        recorder.close()
+        assert len(trace_shard_paths(tmp_path)) == 2
+        assert sorted(e.key for e in load_events(tmp_path)) == ["a", "b"]
 
     def test_run_tokens_are_fresh(self):
         assert new_run_token() != new_run_token()
@@ -222,6 +260,7 @@ class TestEpochNormalization:
     def test_header_line_is_not_an_event(self, tmp_path):
         recorder = TraceRecorder(tmp_path, run=self.RUN)
         recorder.emit("cell", key="k")
+        recorder.close()
         shard = trace_shard_paths(tmp_path, run=self.RUN)[0]
         first = json.loads(shard.read_text().splitlines()[0])
         assert first["header"] is True
